@@ -18,6 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .core import (
     DEFAULT_BUDGET,
     Measure,
@@ -51,8 +52,6 @@ from .stability import (
     theorem_check,
 )
 from .systems import GeneratorSpec, SystemFile, generate_system, load_system, render_system
-
-__version__ = "0.1.0"
 
 
 def _fmt(x) -> str:

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EndoMap, FiniteMetricSpace, Measure, ThresholdGrid
-from .errors import BoundTooSmallWarning, MismatchedSpace, MissingMeasure, OutOfRange
+from .errors import (
+    BoundTooSmallWarning,
+    MismatchedSpace,
+    MissingMeasure,
+    OutOfRange,
+    SoundnessError,
+)
 
 MODE_ALL = "all"
 MODE_FULL = "full"
@@ -188,7 +194,7 @@ def shadowing_delta(
             ok = mu.mass(s) >= 1 - eps
         if ok:
             return delta
-    raise AssertionError("sub-grid delta must pass; shadowing oracle is unsound")
+    raise SoundnessError("sub-grid delta must pass; shadowing oracle is unsound")
 
 
 def exact_oracle_bound(n: int) -> int:

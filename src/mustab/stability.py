@@ -19,33 +19,42 @@ grid delta whose ball contains no perturbation needing more than eps.
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .conjugacy import PartialMap, build_semiconjugacy, verify_semiconjugacy
+from .conjugacy import CheckResult, PartialMap, build_semiconjugacy, verify_semiconjugacy
 from .core import (
     DEFAULT_BUDGET,
     EndoMap,
     FiniteMetricSpace,
     Measure,
     ThresholdGrid,
+    _ball_points,
     ac_threshold,
     atoms,
-    c0_distance,
     convex_combine,
+    enumerate_perturbations,
     exact,
     perturbation_count,
     pushforward,
+    sample_perturbations,
     validate_space,
 )
-from .errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
+from .errors import (
+    BudgetExceeded,
+    MismatchedSpace,
+    OutOfRange,
+    SoundnessError,
+    UsageError,
+)
 from .expansivity import default_expansivity_constant
 from .shadowing import MODE_WEAK, shadowing_delta
-from .systems import GeneratorSpec, generate_system, render_system
+from .systems import GeneratorSpec, SystemFile, generate_system, render_system
 
 
 @dataclass(frozen=True)
@@ -314,10 +323,10 @@ def _eps_min_setvalued(
             zero_mask |= 1 << x
     fbit = [1 << ftab[z] for z in range(n)]
     one = Fraction(1)
-    best: Fraction | None = None
+    best = one
     levels = (Fraction(0),) + space.distance_values
     for t in levels:
-        if best is not None and t >= best:
+        if t >= best:
             break
         balls = space.ball_masks(t)
         H = [balls[x] & zero_mask for x in range(n)]
@@ -355,9 +364,8 @@ def _eps_min_setvalued(
                 dom_mass += weights[x]
         lost = one - dom_mass
         cand = t if t > lost else lost
-        if best is None or cand < best:
+        if cand < best:
             best = cand
-    assert best is not None
     return best
 
 
@@ -392,85 +400,101 @@ def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fract
 
 
 # ---------------------------------------------------------------------------
-# exhaustive tables over the whole perturbation ball
+# worst tolerances over nested perturbation balls
+
+# One table per target: (delta, worst eps_min over the delta-ball, exhaustive)
+# for every grid delta, largest first.  A worst value of None reads "some map
+# in the ball admits no witness at any tolerance".
+_Table = list[tuple[Fraction, Union[Fraction, None], bool]]
 
 
-def _all_records(f: EndoMap) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Every self-map with its uniform distance from f, in enumeration order."""
+def _worst_tolerances(
+    f: EndoMap,
+    fns: list[Callable[[tuple[int, ...]], Fraction | None]],
+    deltas: tuple[Fraction, ...],
+    draws: Iterable[tuple[int, ...]] | None = None,
+) -> list[list[Fraction | None]]:
+    """Per eps_min function, the worst tolerance over the ball at each radius.
+
+    ``deltas`` ascend.  One pass over the ball at the largest of them serves
+    every function and every radius: each map's distance from f is ranked
+    once, and smaller balls read the running worst over lower ranks.  With
+    ``draws`` only those maps, drawn from that ball, are visited.  Memory is
+    O(functions x radii), whatever the size of the ball.
+    """
     space = f.space
-    n = space.n
-    rows = [space.dist[f.table[i]] for i in range(n)]
+    zero = Fraction(0)
+    levels = (zero,) + space.distance_values
+    rank = {d: k for k, d in enumerate(levels)}
+    rows = [tuple(rank[d] for d in space.dist[v]) for v in f.table]
+    if draws is None:
+        draws = product(*(_ball_points(space, v, deltas[-1]) for v in f.table))
+    by_rank: list[list[Fraction | None]] = [[zero] * len(levels) for _ in fns]
+    for gtab in draws:
+        r = 0
+        for row, x in zip(rows, gtab):
+            if row[x] > r:
+                r = row[x]
+        for fn, worst in zip(fns, by_rank):
+            cur = worst[r]
+            if cur is not None:  # None already absorbs whatever fn says
+                em = fn(gtab)
+                if em is None or em > cur:
+                    worst[r] = em
     out = []
-    for gtab in product(range(n), repeat=n):
-        r = rows[0][gtab[0]]
-        for i in range(1, n):
-            d = rows[i][gtab[i]]
-            if d > r:
-                r = d
-        out.append((gtab, r))
+    for worst in by_rank:
+        running: list[Fraction | None] = []
+        cur: Fraction | None = zero
+        for em in worst:
+            if cur is not None and (em is None or em > cur):
+                cur = em
+            running.append(cur)
+        out.append([running[bisect_right(levels, d) - 1] for d in deltas])
     return out
 
 
-class _EpsMinTable:
-    """Distance-sorted worst-case tolerances over nested perturbation balls."""
-
-    def __init__(self, records: list[tuple[tuple[int, ...], Fraction]],
-                 eps_min: list[Fraction | None]) -> None:
-        self.records = records
-        self.eps_min = eps_min
-        by_radius: dict[Fraction, Fraction | None] = {}
-        for (gtab, r), em in zip(records, eps_min):
-            if r in by_radius:
-                cur = by_radius[r]
-                if cur is None:
-                    continue
-                if em is None or em > cur:
-                    by_radius[r] = em
-            else:
-                by_radius[r] = em
-        self.radii = sorted(by_radius)
-        worst: list[Fraction | None] = []
-        cur: Fraction | None = Fraction(0)
-        for r in self.radii:
-            em = by_radius[r]
-            if cur is None or em is None:
-                cur = None
-            elif em > cur:
-                cur = em
-            worst.append(cur)
-        self.worst = worst
-
-    def worst_at(self, delta: Fraction) -> Fraction | None:
-        """Max tolerance needed over the delta-ball; None reads "impossible"."""
-        idx = bisect_right(self.radii, delta) - 1
-        if idx < 0:
-            return Fraction(0)  # ball contains only f itself
-        return self.worst[idx]
-
-    def delta_star(self, eps: Fraction, grid: ThresholdGrid) -> Fraction | None:
-        for delta in reversed(grid.values):
-            w = self.worst_at(delta)
-            if w is not None and w <= eps:
-                return delta
-        return None
-
-    def first_failure(self, eps: Fraction, delta: Fraction) -> tuple[int, ...] | None:
-        """Lexicographically least perturbation in the delta-ball needing > eps."""
-        for (gtab, r), em in zip(self.records, self.eps_min):
-            if r <= delta and (em is None or em > eps):
-                return gtab
-        return None
-
-
-def _eps_min_table(
+def _tolerance_tables(
     f: EndoMap,
-    target: Target,
-    records: list[tuple[tuple[int, ...], Fraction]] | None = None,
-) -> _EpsMinTable:
-    if records is None:
-        records = _all_records(f)
-    fn = _eps_min_fn(f, target)
-    return _EpsMinTable(records, [fn(gtab) for gtab, _ in records])
+    targets: list[Target],
+    budget: int = DEFAULT_BUDGET,
+    sample: bool = False,
+    seed: int = 0,
+    sample_size: int = 500,
+) -> list[_Table]:
+    """One table per target, all from the same walks over the balls of f.
+
+    The largest grid delta whose ball fits the budget is walked once, and
+    every smaller delta reads off the same pass.  A larger delta raises
+    BudgetExceeded, or with ``sample=True`` draws a seeded uniform sample of
+    its ball; its verdict rests on those draws alone and is marked
+    non-exhaustive.
+    """
+    fns = [_eps_min_fn(f, target) for target in targets]
+    deltas = ThresholdGrid.deltas(f.space).values
+    tables: list[_Table] = [[] for _ in fns]
+    fit = len(deltas)
+    while fit and (count := perturbation_count(f, deltas[fit - 1])) > budget:
+        if not sample:
+            raise BudgetExceeded(count, budget)
+        fit -= 1
+        delta = deltas[fit]
+        drawn = sample_perturbations(
+            f, delta, sample_size, seed * 1_000_003 + len(deltas) - 1 - fit)
+        worst = _worst_tolerances(f, fns, (delta,), (g.table for g in drawn))
+        for table, (w,) in zip(tables, worst):
+            table.append((delta, w, False))
+    if fit:
+        worst = _worst_tolerances(f, fns, deltas[:fit])
+        for table, ws in zip(tables, worst):
+            table.extend((d, w, True) for d, w in zip(reversed(deltas[:fit]), reversed(ws)))
+    return tables
+
+
+def _delta_star(table: _Table, eps: Fraction) -> StabilityDelta:
+    for delta, worst, exhaustive in table:
+        if worst is not None and worst <= eps:
+            return StabilityDelta(delta, exhaustive)
+    return StabilityDelta(None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -493,55 +517,21 @@ def stability_delta(
     sample: bool = False,
     seed: int = 0,
     sample_size: int = 500,
-    _cache: dict | None = None,
 ) -> StabilityDelta:
     """Largest grid delta at which every delta-perturbation passes at eps.
 
-    Walks the delta grid top-down; at each delta either the full ball is
-    enumerated (when it fits the budget) or, with ``sample=True``, a seeded
-    uniform sample stands in and a passing verdict is downgraded to "no
-    counterexample found" via exhaustive=False.  Without sampling a
-    too-large ball raises BudgetExceeded.  Returns delta_star None when even
-    the sub-grid delta (only f itself) fails.
+    At each grid delta either the full ball is enumerated (when it fits the
+    budget) or, with ``sample=True``, a seeded uniform sample stands in and a
+    passing verdict is downgraded to "no counterexample found" via
+    exhaustive=False.  Without sampling a too-large ball raises
+    BudgetExceeded.  Returns delta_star None when even the sub-grid delta
+    (only f itself) fails.
     """
     eps = exact(eps)
     if eps < 0:
         raise OutOfRange("eps must be >= 0")
-    fn = _eps_min_fn(f, target)
-    cache: dict[tuple[int, ...], Fraction | None] = _cache if _cache is not None else {}
-
-    def passes(gtab: tuple[int, ...]) -> bool:
-        em = cache.get(gtab)
-        if em is None and gtab not in cache:
-            em = fn(gtab)
-            cache[gtab] = em
-        return em is not None and em <= eps
-
-    grid = ThresholdGrid.deltas(f.space)
-    space = f.space
-    for i, delta in enumerate(reversed(grid.values)):
-        count = perturbation_count(f, delta)
-        if count <= budget:
-            choices = [
-                tuple(x for x in range(space.n) if space.dist[f.table[j]][x] <= delta)
-                for j in range(space.n)
-            ]
-            if all(passes(gtab) for gtab in product(*choices)):
-                return StabilityDelta(delta, True)
-        elif not sample:
-            raise BudgetExceeded(count, budget)
-        else:
-            rng = random.Random(seed * 1_000_003 + i)
-            choices = [
-                tuple(x for x in range(space.n) if space.dist[f.table[j]][x] <= delta)
-                for j in range(space.n)
-            ]
-            drawn = (
-                tuple(rng.choice(c) for c in choices) for _ in range(sample_size)
-            )
-            if all(passes(gtab) for gtab in drawn):
-                return StabilityDelta(delta, False)
-    return StabilityDelta(None, True)
+    (table,) = _tolerance_tables(f, [target], budget, sample, seed, sample_size)
+    return _delta_star(table, eps)
 
 
 def _row_sort_key(delta_star: Fraction | None) -> tuple:
@@ -559,29 +549,17 @@ def stability_profile(
 ) -> StabilityProfile:
     """delta_star for every eps on the grid canonical for the target measure.
 
-    The returned rows are checked to be nondecreasing in eps; a violation
-    would mean one of the mode oracles is unsound, so it raises rather than
-    returning quietly wrong data.
+    Every row reads the same table, as stability_delta would build it.  The
+    rows are checked to be nondecreasing in eps; a violation would mean one
+    of the mode oracles is unsound, so it raises rather than returning
+    quietly wrong data.
     """
     eps_grid = grid if grid is not None else _default_grid(f, target)
-    delta_grid = ThresholdGrid.deltas(f.space)
-    top_count = perturbation_count(f, delta_grid.top)
-    rows: list[ProfileRow] = []
-    if top_count <= budget:
-        table = _eps_min_table(f, target)
-        for eps in eps_grid:
-            rows.append(ProfileRow(eps, table.delta_star(eps, delta_grid), True))
-    else:
-        cache: dict[tuple[int, ...], Fraction | None] = {}
-        for eps in eps_grid:
-            ds, exhaustive = stability_delta(
-                f, target, eps, budget=budget, sample=sample, seed=seed,
-                sample_size=sample_size, _cache=cache,
-            )
-            rows.append(ProfileRow(eps, ds, exhaustive))
+    (table,) = _tolerance_tables(f, [target], budget, sample, seed, sample_size)
+    rows = [ProfileRow(eps, *_delta_star(table, eps)) for eps in eps_grid]
     for a, b in zip(rows, rows[1:]):
         if _row_sort_key(a.delta_star) > _row_sort_key(b.delta_star):
-            raise AssertionError(
+            raise SoundnessError(
                 f"profile not monotone: delta*({a.eps}) = {a.delta_star} "
                 f"> delta*({b.eps}) = {b.delta_star}"
             )
@@ -602,8 +580,6 @@ def setvalued_from_partial(
     empty set.  The intertwining condition f(H(x)) = H(g(x)) is only checked
     when both maps are supplied.
     """
-    from .conjugacy import CheckResult  # local import to keep module deps one-way
-
     if h.space != mu.space:
         raise MismatchedSpace("partial map and measure live over different spaces")
     eps = exact(eps)
@@ -688,17 +664,6 @@ def _frac_str(x: Fraction | None) -> str | None:
     return None if x is None else str(Fraction(x))
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    return random.Random(9_000_000 + seed * 1_000_003 + trial)
-
-
-def _trial_system(seed: int, trial: int, max_points: int, min_points: int = 2):
-    rng = _trial_rng(seed, trial)
-    n = rng.randint(min_points, max_points)
-    gseed = rng.randrange(2**30)
-    spec = GeneratorSpec(n=n, seed=gseed)
-    return generate_system(spec), spec, rng
-
 def _random_measure(space: FiniteMetricSpace, rng: random.Random,
                     support: Iterable[int] | None = None) -> Measure:
     n = space.n
@@ -711,9 +676,7 @@ def _random_measure(space: FiniteMetricSpace, rng: random.Random,
     return Measure(space, tuple(v / tot for v in w))
 
 
-def _system_payload(sysf, spec: GeneratorSpec) -> dict:
-    import json
-
+def _system_payload(sysf: SystemFile, spec: GeneratorSpec) -> dict:
     return {
         "generator": {"n": spec.n, "seed": spec.seed, "model": spec.model,
                       "coordinate_range": spec.coordinate_range},
@@ -721,40 +684,60 @@ def _system_payload(sysf, spec: GeneratorSpec) -> dict:
     }
 
 
-def _check_budget(f: EndoMap, budget: int) -> None:
-    top = ThresholdGrid.deltas(f.space).top
-    count = perturbation_count(f, top)
-    if count > budget:
-        raise BudgetExceeded(count, budget)
+class _Trial(NamedTuple):
+    index: int
+    sysf: SystemFile
+    spec: GeneratorSpec
+    f: EndoMap
+    rng: random.Random
+
+    def refuted(self, item: str, trials: int, checks: int, **fields) -> TheoremReport:
+        """A failing report whose counterexample replays this trial's system."""
+        return TheoremReport(
+            item, trials, self.index + 1, checks, False,
+            {"trial": self.index, **fields, **_system_payload(self.sysf, self.spec)},
+        )
+
+
+def _trials(trials: int, seed: int, max_points: int, budget: int,
+            min_points: int = 2) -> Iterator[_Trial]:
+    """One generated system per trial; its map f must fit the budget."""
+    for index in range(trials):
+        rng = random.Random(9_000_000 + seed * 1_000_003 + index)
+        n = rng.randint(min_points, max_points)
+        spec = GeneratorSpec(n=n, seed=rng.randrange(2**30))
+        sysf = generate_system(spec)
+        f = sysf.maps["f"]
+        count = perturbation_count(f, ThresholdGrid.deltas(f.space).top)
+        if count > budget:
+            raise BudgetExceeded(count, budget)
+        yield _Trial(index, sysf, spec, f, rng)
 
 
 def _item_1(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
     # marked-point stability and point-mass stability agree below tolerance 1
     checks = 0
-    for trial in range(trials):
-        sysf, spec, _rng = _trial_system(seed, trial, max_points)
-        f = sysf.maps["f"]
-        space = f.space
-        _check_budget(f, budget)
-        records = _all_records(f)
-        dgrid = ThresholdGrid.deltas(space)
-        for p in range(space.n):
-            mu = Measure.dirac(space, p)
-            t_point = _eps_min_table(f, PointTarget(p), records)
-            t_meas = _eps_min_table(f, MeasureTarget(mu), records)
+    for trial in _trials(trials, seed, max_points, budget):
+        space = trial.f.space
+        n = space.n
+        diracs = [Measure.dirac(space, p) for p in range(n)]
+        tables = _tolerance_tables(
+            trial.f,
+            [PointTarget(p) for p in range(n)] + [MeasureTarget(mu) for mu in diracs],
+            budget,
+        )
+        for p, mu in enumerate(diracs):
             for eps in ThresholdGrid.epsilons(space, mu):
                 if eps >= 1:
                     continue
-                a = t_point.delta_star(eps, dgrid)
-                b = t_meas.delta_star(eps, dgrid)
+                a = _delta_star(tables[p], eps).delta_star
+                b = _delta_star(tables[n + p], eps).delta_star
                 checks += 1
                 if a != b:
-                    return TheoremReport(
-                        "1", trials, trial + 1, checks, False,
-                        {"trial": trial, "point": space.labels[p],
-                         "eps": _frac_str(eps), "point_delta": _frac_str(a),
-                         "measure_delta": _frac_str(b),
-                         **_system_payload(sysf, spec)},
+                    return trial.refuted(
+                        "1", trials, checks, point=space.labels[p],
+                        eps=_frac_str(eps), point_delta=_frac_str(a),
+                        measure_delta=_frac_str(b),
                     )
     return TheoremReport("1", trials, trials, checks, True, None)
 
@@ -762,37 +745,30 @@ def _item_1(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
 def _item_2(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
     # stability under a dominating measure transfers below the mass threshold
     checks = 0
-    for trial in range(trials):
-        sysf, spec, rng = _trial_system(seed, trial, max_points)
-        f = sysf.maps["f"]
-        space = f.space
-        _check_budget(f, budget)
-        records = _all_records(f)
-        dgrid = ThresholdGrid.deltas(space)
-        nu = _random_measure(space, rng, support=range(space.n))
-        mu = _random_measure(space, rng)
-        t_mu = _eps_min_table(f, MeasureTarget(mu), records)
-        t_nu = _eps_min_table(f, MeasureTarget(nu), records)
+    for trial in _trials(trials, seed, max_points, budget):
+        space = trial.f.space
+        nu = _random_measure(space, trial.rng, support=range(space.n))
+        mu = _random_measure(space, trial.rng)
+        t_mu, t_nu = _tolerance_tables(
+            trial.f, [MeasureTarget(mu), MeasureTarget(nu)], budget)
         nu_grid = ThresholdGrid.epsilons(space, nu)
         for eps in ThresholdGrid.epsilons(space, mu):
             thr = ac_threshold(mu, nu, eps)
-            a = t_mu.delta_star(eps, dgrid)
+            a = _delta_star(t_mu, eps).delta_star
             for eps2 in nu_grid:
                 if eps2 > eps or (thr is not None and eps2 >= thr):
                     continue
-                b = t_nu.delta_star(eps2, dgrid)
+                b = _delta_star(t_nu, eps2).delta_star
                 checks += 1
                 if a is None or (b is not None and a < b):
-                    return TheoremReport(
-                        "2", trials, trial + 1, checks, False,
-                        {"trial": trial, "eps": _frac_str(eps),
-                         "eps_transferred": _frac_str(eps2),
-                         "threshold": _frac_str(thr),
-                         "delta_dominated": _frac_str(a),
-                         "delta_dominating": _frac_str(b),
-                         "mu": [_frac_str(w) for w in mu.weights],
-                         "nu": [_frac_str(w) for w in nu.weights],
-                         **_system_payload(sysf, spec)},
+                    return trial.refuted(
+                        "2", trials, checks, eps=_frac_str(eps),
+                        eps_transferred=_frac_str(eps2),
+                        threshold=_frac_str(thr),
+                        delta_dominated=_frac_str(a),
+                        delta_dominating=_frac_str(b),
+                        mu=[_frac_str(w) for w in mu.weights],
+                        nu=[_frac_str(w) for w in nu.weights],
                     )
     return TheoremReport("2", trials, trials, checks, True, None)
 
@@ -843,12 +819,10 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
     checks = 0
     notes: list[str] = []
     skipped = 0
-    for trial in range(trials):
-        sysf, spec, rng = _trial_system(seed, trial, max_points, min_points=3)
-        f0 = sysf.maps["f"]
+    for trial in _trials(trials, seed, max_points, budget, min_points=3):
+        f0, rng = trial.f, trial.rng
         space0 = f0.space
         n = space0.n
-        _check_budget(f0, budget)
 
         perm = list(range(n))
         while tuple(perm) == tuple(range(n)):
@@ -863,28 +837,22 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
         mu = _random_measure(space_i, rng)
         f_conj = EndoMap(space_i, _conjugate_table(f.table, perm, hinv))
         mu_conj = pushforward(EndoMap(space_i, perm), mu)
-        dgrid = ThresholdGrid.deltas(space_i)
-        t_f = _eps_min_table(f, MeasureTarget(mu))
-        t_c = _eps_min_table(f_conj, MeasureTarget(mu_conj))
+        (t_f,) = _tolerance_tables(f, [MeasureTarget(mu)], budget)
+        (t_c,) = _tolerance_tables(f_conj, [MeasureTarget(mu_conj)], budget)
         grid_a = ThresholdGrid.epsilons(space_i, mu)
         grid_b = ThresholdGrid.epsilons(space_i, mu_conj)
         if grid_a.values != grid_b.values:
-            return TheoremReport(
-                "4", trials, trial + 1, checks, False,
-                {"trial": trial, "kind": "isometric", "reason": "grid mismatch",
-                 **_system_payload(sysf, spec)},
-            )
+            return trial.refuted("4", trials, checks, kind="isometric",
+                                 reason="grid mismatch")
         for eps in grid_a:
-            a = t_f.delta_star(eps, dgrid)
-            b = t_c.delta_star(eps, dgrid)
+            a = _delta_star(t_f, eps).delta_star
+            b = _delta_star(t_c, eps).delta_star
             checks += 1
             if a != b:
-                return TheoremReport(
-                    "4", trials, trial + 1, checks, False,
-                    {"trial": trial, "kind": "isometric", "perm": list(perm),
-                     "eps": _frac_str(eps), "delta_original": _frac_str(a),
-                     "delta_conjugated": _frac_str(b),
-                     **_system_payload(sysf, spec)},
+                return trial.refuted(
+                    "4", trials, checks, kind="isometric", perm=list(perm),
+                    eps=_frac_str(eps), delta_original=_frac_str(a),
+                    delta_conjugated=_frac_str(b),
                 )
 
         hperm = None
@@ -908,28 +876,26 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
         g_conj = EndoMap(space0, _conjugate_table(f0.table, hperm, hinv2))
         nu_conj = pushforward(EndoMap(space0, hperm), nu)
         dgrid0 = ThresholdGrid.deltas(space0)
-        t_f0 = _eps_min_table(f0, MeasureTarget(nu))
-        t_c0 = _eps_min_table(g_conj, MeasureTarget(nu_conj))
+        (t_f0,) = _tolerance_tables(f0, [MeasureTarget(nu)], budget)
+        (t_c0,) = _tolerance_tables(g_conj, [MeasureTarget(nu_conj)], budget)
         mod_levels = (Fraction(0),) + space0.distance_values
         for eps in ThresholdGrid.epsilons(space0, nu_conj):
             m1 = max(t for t in mod_levels if _modulus(space0, hperm, t) <= eps)
             eps_back = min(eps, m1)
-            d_f = t_f0.delta_star(eps_back, dgrid0)
+            d_f = _delta_star(t_f0, eps_back).delta_star
             if d_f is None:
                 continue
             m2 = max(t for t in dgrid0.values
                      if _modulus(space0, hinv2, t) <= d_f)
-            lhs = t_c0.delta_star(eps, dgrid0)
+            lhs = _delta_star(t_c0, eps).delta_star
             checks += 1
             if lhs is None or lhs < m2:
-                return TheoremReport(
-                    "4", trials, trial + 1, checks, False,
-                    {"trial": trial, "kind": "bijection", "perm": list(hperm),
-                     "eps": _frac_str(eps), "eps_back": _frac_str(eps_back),
-                     "delta_original": _frac_str(d_f),
-                     "delta_required": _frac_str(m2),
-                     "delta_conjugated": _frac_str(lhs),
-                     **_system_payload(sysf, spec)},
+                return trial.refuted(
+                    "4", trials, checks, kind="bijection", perm=list(hperm),
+                    eps=_frac_str(eps), eps_back=_frac_str(eps_back),
+                    delta_original=_frac_str(d_f),
+                    delta_required=_frac_str(m2),
+                    delta_conjugated=_frac_str(lhs),
                 )
     if skipped:
         notes.append(f"{skipped} trial(s) had no non-isometric bijection")
@@ -941,40 +907,33 @@ def _item_5(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
     # tolerance is clamped under half the separation constant
     checks = 0
     weights = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    for trial in range(trials):
-        sysf, spec, rng = _trial_system(seed, trial, max_points)
-        f = sysf.maps["f"]
+    for trial in _trials(trials, seed, max_points, budget):
+        f = trial.f
         space = f.space
-        _check_budget(f, budget)
         e = default_expansivity_constant(f)
-        records = _all_records(f)
-        dgrid = ThresholdGrid.deltas(space)
-        mu = _random_measure(space, rng)
-        nu = _random_measure(space, rng)
-        t_mu = _eps_min_table(f, MeasureTarget(mu), records)
-        t_nu = _eps_min_table(f, MeasureTarget(nu), records)
-        for t in weights:
-            combo = convex_combine(t, mu, nu)
-            t_combo = _eps_min_table(f, MeasureTarget(combo), records)
+        mu = _random_measure(space, trial.rng)
+        nu = _random_measure(space, trial.rng)
+        combos = [convex_combine(t, mu, nu) for t in weights]
+        t_mu, t_nu, *t_combos = _tolerance_tables(
+            f, [MeasureTarget(m) for m in [mu, nu, *combos]], budget)
+        for t, combo, t_combo in zip(weights, combos, t_combos):
             for eps in ThresholdGrid.epsilons(space, combo):
                 eps_c = min(e / 2, eps)
-                rhs_a = t_mu.delta_star(eps_c, dgrid)
-                rhs_b = t_nu.delta_star(eps_c, dgrid)
-                lhs = t_combo.delta_star(eps, dgrid)
+                rhs_a = _delta_star(t_mu, eps_c).delta_star
+                rhs_b = _delta_star(t_nu, eps_c).delta_star
+                lhs = _delta_star(t_combo, eps).delta_star
                 checks += 1
                 rhs = None
                 if rhs_a is not None and rhs_b is not None:
                     rhs = min(rhs_a, rhs_b)
                 if rhs is not None and (lhs is None or lhs < rhs):
-                    return TheoremReport(
-                        "5", trials, trial + 1, checks, False,
-                        {"trial": trial, "blend": _frac_str(t),
-                         "eps": _frac_str(eps), "eps_clamped": _frac_str(eps_c),
-                         "delta_blend": _frac_str(lhs),
-                         "delta_mu": _frac_str(rhs_a), "delta_nu": _frac_str(rhs_b),
-                         "mu": [_frac_str(w) for w in mu.weights],
-                         "nu": [_frac_str(w) for w in nu.weights],
-                         **_system_payload(sysf, spec)},
+                    return trial.refuted(
+                        "5", trials, checks, blend=_frac_str(t),
+                        eps=_frac_str(eps), eps_clamped=_frac_str(eps_c),
+                        delta_blend=_frac_str(lhs),
+                        delta_mu=_frac_str(rhs_a), delta_nu=_frac_str(rhs_b),
+                        mu=[_frac_str(w) for w in mu.weights],
+                        nu=[_frac_str(w) for w in nu.weights],
                     )
     return TheoremReport("5", trials, trials, checks, True, None)
 
@@ -986,50 +945,41 @@ def _item_7(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
     notes: list[str] = []
     cap = 128
     sampled = False
-    for trial in range(trials):
-        sysf, spec, rng = _trial_system(seed, trial, max_points)
-        f = sysf.maps["f"]
-        space = f.space
-        _check_budget(f, budget)
+    for trial in _trials(trials, seed, max_points, budget):
+        f = trial.f
         e = default_expansivity_constant(f)
-        mu = sysf.measures["dirac"] if trial % 2 else sysf.measures["full"]
-        records = _all_records(f)
-        dgrid = ThresholdGrid.deltas(space)
-        t_mu = _eps_min_table(f, MeasureTarget(mu), records)
-        for eps in ThresholdGrid.epsilons(space, mu):
+        measures = trial.sysf.measures
+        mu = measures["dirac"] if trial.index % 2 else measures["full"]
+        (t_mu,) = _tolerance_tables(f, [MeasureTarget(mu)], budget)
+        for eps in ThresholdGrid.epsilons(f.space, mu):
             eps1 = min(e, eps) / 8
             delta_w = shadowing_delta(f, eps1, MODE_WEAK, mu)
-            lhs = t_mu.delta_star(eps, dgrid)
+            lhs = _delta_star(t_mu, eps).delta_star
             checks += 1
             if lhs is None or lhs < delta_w:
-                return TheoremReport(
-                    "7", trials, trial + 1, checks, False,
-                    {"trial": trial, "eps": _frac_str(eps),
-                     "eps_clamped": _frac_str(eps1),
-                     "delta_shadowing": _frac_str(delta_w),
-                     "delta_stability": _frac_str(lhs),
-                     "measure": [_frac_str(w) for w in mu.weights],
-                     **_system_payload(sysf, spec)},
+                return trial.refuted(
+                    "7", trials, checks, eps=_frac_str(eps),
+                    eps_clamped=_frac_str(eps1),
+                    delta_shadowing=_frac_str(delta_w),
+                    delta_stability=_frac_str(lhs),
+                    measure=[_frac_str(w) for w in mu.weights],
                 )
             if eps <= 0:
                 continue
-            ball = [gtab for gtab, r in records if r <= delta_w]
+            ball = list(enumerate_perturbations(f, delta_w, budget))
             if len(ball) > cap:
-                ball = random.Random(seed * 7919 + trial).sample(ball, cap)
+                ball = random.Random(seed * 7919 + trial.index).sample(ball, cap)
                 sampled = True
-            for gtab in ball:
-                g = EndoMap(space, gtab)
+            for g in ball:
                 cert = build_semiconjugacy(f, g, mu, eps, e)
                 result = verify_semiconjugacy(cert)
                 checks += 1
                 if not (result.passed and cert.passed
                         and cert.mass_defect <= cert.epsilon):
-                    failed = [c.name for c in result.checks if not c.passed]
-                    return TheoremReport(
-                        "7", trials, trial + 1, checks, False,
-                        {"trial": trial, "eps": _frac_str(eps),
-                         "perturbation": list(gtab), "failed_checks": failed,
-                         **_system_payload(sysf, spec)},
+                    return trial.refuted(
+                        "7", trials, checks, eps=_frac_str(eps),
+                        perturbation=list(g.table),
+                        failed_checks=[c.name for c in result.checks if not c.passed],
                     )
     if sampled:
         notes.append(f"witness balls larger than {cap} maps were sampled")
@@ -1040,11 +990,8 @@ def _item_basicas(trials: int, seed: int, max_points: int, budget: int) -> Theor
     # fixed pinned-down system: the three flavours separate exactly as frozen
     space, f, p = isolated_point_system()
     mu = Measure.dirac(space, p)
-    records = _all_records(f)
-    dgrid = ThresholdGrid.deltas(space)
-    t_point = _eps_min_table(f, PointTarget(p), records)
-    t_meas = _eps_min_table(f, MeasureTarget(mu), records)
-    t_sv = _eps_min_table(f, SetValuedTarget(mu), records)
+    t_point, t_meas, t_sv = _tolerance_tables(
+        f, [PointTarget(p), MeasureTarget(mu), SetValuedTarget(mu)])
     half, one, ten = Fraction(1, 2), Fraction(1), Fraction(10)
     expected = [
         ("point", t_point, half, one),
@@ -1059,7 +1006,7 @@ def _item_basicas(trials: int, seed: int, max_points: int, budget: int) -> Theor
     ]
     checks = 0
     for mode, table, eps, want in expected:
-        got = table.delta_star(eps, dgrid)
+        got = _delta_star(table, eps).delta_star
         checks += 1
         if got != want:
             return TheoremReport(
@@ -1070,15 +1017,15 @@ def _item_basicas(trials: int, seed: int, max_points: int, budget: int) -> Theor
     # marked point and point mass agree strictly below 1, split at 1
     for eps in ThresholdGrid.epsilons(space, mu):
         checks += 1
-        a = t_point.delta_star(eps, dgrid)
-        b = t_meas.delta_star(eps, dgrid)
+        a = _delta_star(t_point, eps).delta_star
+        b = _delta_star(t_meas, eps).delta_star
         if eps < 1 and a != b:
             return TheoremReport(
                 "basicas", 1, 1, checks, False,
                 {"mode": "agreement", "eps": _frac_str(eps),
                  "point": _frac_str(a), "measure": _frac_str(b)},
             )
-    if t_point.delta_star(one, dgrid) == t_meas.delta_star(one, dgrid):
+    if _delta_star(t_point, one).delta_star == _delta_star(t_meas, one).delta_star:
         return TheoremReport(
             "basicas", 1, 1, checks + 1, False,
             {"mode": "divergence", "eps": "1",

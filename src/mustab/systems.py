@@ -87,7 +87,7 @@ def parse_system(text: str) -> SystemFile:
                 )
     try:
         space = validate_space(points, metric)
-    except (ValueError, TypeError) as ex:
+    except (ValueError, TypeError, ZeroDivisionError) as ex:
         raise UsageError(f"bad metric: {ex}") from None
 
     maps_obj = obj["maps"]

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import mustab.shadowing
 from mustab import EndoMap, GeneratorSpec, SystemFile, generate_system, save_system
 from mustab.cli import main
 
@@ -76,6 +77,20 @@ def test_validate_axiom_violation(tmp_path, capsys):
     assert "dist[0][2]" in capsys.readouterr().err
 
 
+def test_validate_zero_denominator_metric(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "points": ["a", "b"],
+        "metric": [["0", "1/0"], ["1/0", "0"]],
+        "maps": {},
+        "measures": {},
+    }))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad metric" in err
+    assert "Traceback" not in err
+
+
 def test_gen_writes_deterministic_files(tmp_path, capsys):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["gen", "-n", "4", "--seed", "3", "-o", a]) == 0
@@ -138,6 +153,16 @@ def test_shadowing_profile_with_measure(system_file, capsys):
     assert main(["shadowing-profile", system_file, "--measure", "dirac", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {r["mode"] for r in payload["rows"]} == {"all", "full", "weak"}
+
+
+def test_unsound_shadowing_oracle_exits_1(system_file, capsys, monkeypatch):
+    # an oracle that rejects even the sub-grid delta contradicts itself
+    monkeypatch.setattr(mustab.shadowing, "shadowable_start_set",
+                        lambda f, eps, delta: frozenset())
+    assert main(["shadowing-profile", system_file]) == 1
+    err = capsys.readouterr().err
+    assert "verification failed" in err
+    assert "Traceback" not in err
 
 
 def test_shadowing_profile_text_and_alias(system_file, capsys):

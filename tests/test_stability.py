@@ -5,8 +5,10 @@ minimal tolerance against brute-force searches that enumerate every candidate
 witness straight from the definitions.
 """
 
+import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -23,13 +25,14 @@ from mustab import (
     ThresholdGrid,
     generate_system,
     isolated_point_system,
+    render_system,
     setvalued_from_partial,
     stability_delta,
     stability_profile,
     theorem_check,
     validate_space,
 )
-from mustab.stability import SetValuedMap, _eps_min_fn, target_mode
+from mustab.stability import SetValuedMap, _eps_min_fn, _trials, target_mode
 from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
 
 from bruteforce import (
@@ -205,6 +208,23 @@ def test_stability_delta_matches_naive_filter():
                 assert got.exhaustive
 
 
+def test_profile_rows_match_naive_on_every_self_map(cluster_space):
+    """Whole profiles, every eps on the grid, every self-map of a 3-point space."""
+    space = cluster_space
+    grid = ThresholdGrid.deltas(space).values
+    mu = Measure.from_weights(space, ("1/3", "0", "2/3"))
+    targets = [PointTarget(p) for p in range(space.n)]
+    targets += [MeasureTarget(mu), SetValuedTarget(mu)]
+    for ftab in product(range(space.n), repeat=space.n):
+        f = EndoMap(space, ftab)
+        for target in targets:
+            slow_fn = cache(_naive_eps_min(space, ftab, target))
+            profile = stability_profile(f, target)
+            for row in profile.rows:
+                want = stability_delta_naive(space, ftab, grid, row.eps, slow_fn)
+                assert (row.delta_star, row.exhaustive) == (want, True), (ftab, target, row)
+
+
 # ---------------------------------------------------------------------------
 # structural facts
 
@@ -339,6 +359,36 @@ def test_sampled_profile_flags_rows():
     assert any(not row.exhaustive for row in profile.rows)
 
 
+def _rows(profile):
+    return [(str(r.eps), None if r.delta_star is None else str(r.delta_star), r.exhaustive)
+            for r in profile.rows]
+
+
+def test_mixed_budget_profiles_are_pinned():
+    """Rows frozen from the seeded draws: a changed draw order shows up here.
+
+    Deltas 1-3 fit the budget of 200 and are exhaustive; 4-10 are sampled.
+    """
+    sysf = generate_system(GeneratorSpec(5, 1201))
+    f = sysf.maps["f"]
+    profile = stability_profile(f, MeasureTarget(sysf.measures["full"]),
+                                budget=200, sample=True, sample_size=60)
+    below_one = ["0", "1/8", "1/6", "5/24", "7/24", "1/3", "3/8", "5/12", "11/24",
+                 "1/2", "13/24", "7/12", "5/8", "2/3", "17/24", "19/24", "5/6", "7/8"]
+    assert _rows(profile) == (
+        [(eps, "1", True) for eps in below_one]
+        + [(eps, "10", False) for eps in ("1", "2", "3", "4", "6", "7", "8", "9", "10")]
+    )
+    # exhaustively delta* is 1 at every eps; three draws at the sampled delta
+    # 4 miss its failures, so rows from eps 4 up rest on those draws alone
+    profile = stability_profile(f, PointTarget(0), budget=200, sample=True,
+                                sample_size=3, seed=5)
+    assert _rows(profile) == (
+        [(eps, "1", True) for eps in ("0", "1", "2", "3")]
+        + [(eps, "4", False) for eps in ("4", "6", "7", "8", "9", "10")]
+    )
+
+
 def test_argument_validation(two_point, path_space, uniform_two):
     ident = EndoMap.identity(two_point)
     with pytest.raises(UsageError):
@@ -367,6 +417,19 @@ def test_theorem_items_smoke():
         assert report.trials == trials
         assert report.checks > 0
         assert report.counterexample is None
+
+
+def test_refuted_trial_replays_its_system():
+    trial = next(_trials(trials=3, seed=2, max_points=4, budget=10**6))
+    report = trial.refuted("2", 3, 7, eps="1/2")
+    assert (report.item, report.trials, report.systems, report.checks) == ("2", 3, 1, 7)
+    assert not report.passed
+    payload = report.counterexample
+    assert list(payload) == ["trial", "eps", "generator", "system"]
+    assert payload["eps"] == "1/2"
+    replayed = generate_system(GeneratorSpec(**payload["generator"]))
+    assert json.loads(render_system(replayed)) == payload["system"]
+    assert replayed.maps["f"] == trial.f
 
 
 def test_theorem_reports_are_reproducible():

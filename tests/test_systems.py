@@ -94,6 +94,11 @@ def test_parse_rejects_bad_components():
     with pytest.raises(UsageError, match="bad metric"):
         parse_system(json.dumps(payload))
 
+    payload = good_payload()
+    payload["metric"] = [["0", "1/0"], ["1/0", "0"]]
+    with pytest.raises(UsageError, match="bad metric"):
+        parse_system(json.dumps(payload))
+
     # axiom failures keep their own typed diagnostics
     payload = good_payload()
     payload["metric"] = [["0", "2"], ["1", "0"]]
