@@ -357,8 +357,11 @@ def _cmd_gen(args) -> int:
     sysf = generate_system(spec)
     text = render_system(sysf)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise UsageError(f"cannot write {args.out}: {ex}") from None
         print(f"wrote {args.out}: {sysf.space.n} points, "
               f"{len(sysf.maps)} map(s), {len(sysf.measures)} measure(s)")
     else:

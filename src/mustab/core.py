@@ -11,6 +11,7 @@ primitives the rest of the package builds on.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +83,23 @@ class FiniteMetricSpace:
         return tuple(sorted(vals))
 
     @cached_property
+    def distance_ranks(self) -> tuple[tuple[int, ...], ...]:
+        """rank[i][j]: the index of dist[i][j] in (0,) + distance_values.
+
+        dist[i][j] <= radius exactly when rank[i][j] <= radius_rank(radius),
+        so radius tests become integer comparisons.
+        """
+        rank = {v: r for r, v in enumerate((Fraction(0),) + self.distance_values)}
+        return tuple(tuple(rank[d] for d in row) for row in self.dist)
+
+    def radius_rank(self, radius: Fraction) -> int:
+        """The largest index into (0,) + distance_values of a value <= radius.
+
+        -1 for a negative radius, which no distance satisfies.
+        """
+        return bisect_right(self.distance_values, radius) if radius >= 0 else -1
+
+    @cached_property
     def d_min(self) -> Fraction:
         """Least positive distance; the resolution of the space."""
         return self.distance_values[0]
@@ -99,16 +117,10 @@ class FiniteMetricSpace:
         cached = self._ball_cache.get(radius)
         if cached is not None:
             return cached
-        n = self.n
-        masks = []
-        for c in range(n):
-            row = self.dist[c]
-            m = 0
-            for x in range(n):
-                if row[x] <= radius:
-                    m |= 1 << x
-            masks.append(m)
-        result = tuple(masks)
+        r = self.radius_rank(radius)
+        result = tuple(
+            sum(1 << x for x, k in enumerate(row) if k <= r) for row in self.distance_ranks
+        )
         self._ball_cache[radius] = result
         return result
 
@@ -178,6 +190,14 @@ class EndoMap:
         for i, v in enumerate(self.table):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ValueError(f"table[{i}] = {v!r} is not a point index")
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of pure functions of this map, keyed by function and arguments.
+
+        Sound because the map is frozen: equal fields give equal results.
+        """
+        return {}
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -280,8 +300,8 @@ def c0_distance(f: EndoMap, g: EndoMap) -> Fraction:
 
 
 def _ball_points(space: FiniteMetricSpace, center: int, radius: Fraction) -> tuple[int, ...]:
-    row = space.dist[center]
-    return tuple(x for x in range(space.n) if row[x] <= radius)
+    r = space.radius_rank(radius)
+    return tuple(x for x, k in enumerate(space.distance_ranks[center]) if k <= r)
 
 
 def perturbation_count(f: EndoMap, delta: Fraction) -> int:

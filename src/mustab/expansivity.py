@@ -28,8 +28,16 @@ def separation_matrix(f: EndoMap) -> SeparationMatrix:
     """sep[x][y] = max over k >= 0 of d(f^k(x), f^k(y)).
 
     Each pair orbit is followed until it repeats; the pair state space has
-    n^2 elements, so the loop below terminates within n^2 steps.
+    n^2 elements, so the loop below terminates within n^2 steps.  Memoised
+    on the map.
     """
+    sm = f._memo.get("separation_matrix")
+    if sm is None:
+        sm = f._memo["separation_matrix"] = _separation_matrix(f)
+    return sm
+
+
+def _separation_matrix(f: EndoMap) -> SeparationMatrix:
     space = f.space
     n = space.n
     dist = space.dist

@@ -13,16 +13,23 @@ the space is finite this is decidable two independent ways:
 
 The two routes agree by construction only if the tube collapse is sound,
 which is exactly what the cross-validation tests check.
+
+A transition (last, tube) --w--> (w, f(tube) & B(w, eps)) does not depend on
+delta; delta only decides which edges exist.  So one exploration with every
+edge present, each edge labelled by the least delta admitting it, answers
+every delta at once: a start's *failure radius* is the least delta at which
+an empty tube becomes reachable from it (a bottleneck path problem), and the
+start is shadowable exactly below that radius.  Every shadowing query reads
+these radii, computed once per (f, eps).
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EndoMap, FiniteMetricSpace, Measure, ThresholdGrid
+from .core import EndoMap, Measure, ThresholdGrid
 from .errors import (
     BoundTooSmallWarning,
     MismatchedSpace,
@@ -35,28 +42,6 @@ MODE_ALL = "all"
 MODE_FULL = "full"
 MODE_WEAK = "weak"
 SHADOWING_MODES = (MODE_ALL, MODE_FULL, MODE_WEAK)
-
-
-@dataclass(frozen=True)
-class PseudoOrbitGraph:
-    """Successor lists of the delta-pseudo-orbit relation."""
-
-    space: FiniteMetricSpace
-    delta: Fraction
-    succ: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, f: EndoMap, delta: Fraction) -> "PseudoOrbitGraph":
-        if delta < 0:
-            raise OutOfRange("delta must be >= 0")
-        space = f.space
-        n = space.n
-        dist = space.dist
-        succ = tuple(
-            tuple(w for w in range(n) if dist[f.table[x]][w] <= delta)
-            for x in range(n)
-        )
-        return cls(space, delta, succ)
 
 
 @dataclass(frozen=True)
@@ -88,24 +73,44 @@ def tube_states(f: EndoMap, eps: Fraction, prefix: list[int] | tuple[int, ...]) 
     return out
 
 
-def shadowable_start_set(f: EndoMap, eps: Fraction, delta: Fraction) -> frozenset[int]:
-    """Starts x0 from which every infinite delta-pseudo-orbit is eps-shadowed.
+def failure_ranks(f: EndoMap, eps: Fraction) -> tuple[int | None, ...]:
+    """Per start x0, the rank of its failure radius, or None if it never fails.
 
-    Explores the tube automaton forward from every initial state, then marks
-    backward-reachable failure states.  An empty tube after some prefix means
-    that prefix has no shadowing point; conversely, if no prefix empties the
-    tube then nested finite candidate sets have a common point, so every
-    infinite pseudo-orbit is shadowed.  x0 qualifies iff its initial state
-    cannot reach an empty tube.
+    The failure radius of x0 is the least delta at which x0 stops being
+    eps-shadowable.  It is always a distance of the space, and rank r stands
+    for ``((0,) + f.space.distance_values)[r]``.  x0 lies in S(eps, delta)
+    exactly when its rank is None or exceeds the rank of delta, the largest
+    r whose radius is <= delta.  Rank 0 never occurs: true orbits shadow
+    themselves.  Memoised per (f, eps) on the map.
     """
-    if eps < 0 or delta < 0:
-        raise OutOfRange("eps and delta must be >= 0")
+    if eps < 0:
+        raise OutOfRange("eps must be >= 0")
+    key = ("failure_ranks", eps)
+    ranks = f._memo.get(key)
+    if ranks is None:
+        ranks = f._memo[key] = _failure_ranks(f, eps)
+    return ranks
+
+
+def _failure_ranks(f: EndoMap, eps: Fraction) -> tuple[int | None, ...]:
+    """One exploration of the tube automaton with every edge present.
+
+    Edge last --w--> carries the rank of d(f(last), w); delta admits it iff
+    that rank is at most the rank of delta.  A state's value is the least
+    rank r such that an empty tube is reachable from it along edges of rank
+    <= r: a failing state starts at the least rank of a w that empties its
+    tube, and b(prev) = min(b(prev), max(edge rank, b(state))) is propagated
+    backwards in ascending rank with a bucket queue.  An empty tube after
+    some prefix means that prefix has no shadowing point; conversely, if no
+    prefix empties the tube then nested finite candidate sets have a common
+    point, so every infinite pseudo-orbit is shadowed.
+    """
     space = f.space
     n = space.n
-    dist = space.dist
     table = f.table
+    dist_rank = space.distance_ranks
     eps_masks = space.ball_masks(eps)
-    succ = PseudoOrbitGraph.build(f, delta).succ
+    never = len(space.distance_values) + 1
 
     image_cache: dict[int, int] = {}
 
@@ -121,40 +126,62 @@ def shadowable_start_set(f: EndoMap, eps: Fraction, delta: Fraction) -> frozense
             image_cache[mask] = out
         return out
 
-    # Forward exploration over (last, tube) states, recording reverse edges.
-    initial = [(x0, eps_masks[x0]) for x0 in range(n)]
-    rev: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    failing: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set(initial)
-    stack = list(initial)
-    while stack:
-        state = stack.pop()
-        last, tube = state
+    # Forward exploration over (last, tube) states; state x0 < n is the
+    # initial state of start x0.  rev[j] lists (i, rank) per edge i -> j.
+    states = [(x0, eps_masks[x0]) for x0 in range(n)]
+    ids = {state: i for i, state in enumerate(states)}
+    rev: list[list[tuple[int, int]]] = [[] for _ in states]
+    best = [never] * n
+    buckets: list[list[int]] = [[] for _ in range(never)]
+    i = 0
+    while i < len(states):
+        last, tube = states[i]
         img = image(tube)
-        fails_here = False
-        for w in succ[last]:
+        ranks = dist_rank[table[last]]
+        fails_at = never
+        for w in range(n):
             new_tube = img & eps_masks[w]
             if new_tube == 0:
-                fails_here = True
+                if ranks[w] < fails_at:
+                    fails_at = ranks[w]
                 continue
-            nxt = (w, new_tube)
-            rev.setdefault(nxt, []).append(state)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-        if fails_here:
-            failing.append(state)
+            j = ids.setdefault((w, new_tube), len(states))
+            if j == len(states):
+                states.append((w, new_tube))
+                rev.append([])
+                best.append(never)
+            rev[j].append((i, ranks[w]))
+        if fails_at < never:
+            best[i] = fails_at
+            buckets[fails_at].append(i)
+        i += 1
 
-    bad: set[tuple[int, int]] = set(failing)
-    queue = deque(failing)
-    while queue:
-        state = queue.popleft()
-        for prev in rev.get(state, ()):
-            if prev not in bad:
-                bad.add(prev)
-                queue.append(prev)
+    for value, bucket in enumerate(buckets):
+        # states pushed at this same value are appended and read in turn
+        for state in bucket:
+            if best[state] != value:
+                continue  # superseded by a smaller value
+            for prev, r in rev[state]:
+                b = r if r > value else value
+                if b < best[prev]:
+                    best[prev] = b
+                    buckets[b].append(prev)
 
-    return frozenset(x0 for x0, m in initial if (x0, m) not in bad)
+    return tuple(None if b == never else b for b in best[:n])
+
+
+def shadowable_start_set(f: EndoMap, eps: Fraction, delta: Fraction) -> frozenset[int]:
+    """Starts x0 from which every infinite delta-pseudo-orbit is eps-shadowed.
+
+    x0 qualifies iff its failure radius (see :func:`failure_ranks`) exceeds
+    delta, for any delta >= 0, on the grid or off it.
+    """
+    if eps < 0 or delta < 0:
+        raise OutOfRange("eps and delta must be >= 0")
+    top = f.space.radius_rank(delta)
+    return frozenset(
+        x0 for x0, b in enumerate(failure_ranks(f, eps)) if b is None or b > top
+    )
 
 
 def shadowing_delta(
@@ -170,9 +197,12 @@ def shadowing_delta(
       full -- S carries all of mu's mass (support(mu) inside S);
       weak -- mu(S) >= 1 - eps.
 
-    S shrinks as delta grows, so the predicate is antitone and the scan walks
-    the grid top-down.  Below d_min the only pseudo-orbits are true orbits,
-    which shadow themselves, so d_min/2 always passes.
+    S shrinks as delta grows: it loses the starts whose failure radius is at
+    most delta.  So the answer sits just below the radius at which the lost
+    starts first outweigh what the mode allows: any start (all), any mass
+    (full), or mass above eps (weak, as mu has total mass 1).  Below d_min
+    the only pseudo-orbits are true orbits, which shadow themselves, so
+    d_min/2 always passes.
     """
     if mode == "mu":  # compatibility alias for the full-mass mode
         mode = MODE_FULL
@@ -183,18 +213,24 @@ def shadowing_delta(
             raise MissingMeasure(f"mode {mode!r} needs a measure")
         if mu.space != f.space:
             raise MismatchedSpace("map and measure live over different spaces")
-    grid = ThresholdGrid.deltas(f.space)
-    for delta in reversed(grid.values):
-        s = shadowable_start_set(f, eps, delta)
-        if mode == MODE_ALL:
-            ok = len(s) == f.space.n
-        elif mode == MODE_FULL:
-            ok = all(p in s for p in range(f.space.n) if mu.weights[p] > 0)
-        else:
-            ok = mu.mass(s) >= 1 - eps
-        if ok:
-            return delta
-    raise SoundnessError("sub-grid delta must pass; shadowing oracle is unsound")
+    ranks = failure_ranks(f, eps)
+    if mode == MODE_ALL:
+        weights, allowance = (1,) * f.space.n, 0
+    else:
+        weights, allowance = mu.weights, (0 if mode == MODE_FULL else eps)
+    # Delta grid value k has rank k: d_min/2 (0 on one point), then the
+    # distances.  Walk the failing starts by rank until too much is lost.
+    distances = f.space.distance_values
+    top = len(distances)
+    lost = 0
+    for b, w in sorted((b, w) for b, w in zip(ranks, weights) if b is not None):
+        lost += w
+        if lost > allowance:
+            top = b - 1
+            break
+    if top < 0:
+        raise SoundnessError("sub-grid delta must pass; shadowing oracle is unsound")
+    return distances[top - 1] if top else ThresholdGrid.deltas(f.space).values[0]
 
 
 def exact_oracle_bound(n: int) -> int:

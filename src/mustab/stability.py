@@ -469,6 +469,8 @@ def _tolerance_tables(
     its ball; its verdict rests on those draws alone and is marked
     non-exhaustive.
     """
+    if sample and sample_size < 1:
+        raise OutOfRange("sample_size must be >= 1")
     fns = [_eps_min_fn(f, target) for target in targets]
     deltas = ThresholdGrid.deltas(f.space).values
     tables: list[_Table] = [[] for _ in fns]
@@ -554,8 +556,9 @@ def stability_profile(
     of the mode oracles is unsound, so it raises rather than returning
     quietly wrong data.
     """
-    eps_grid = grid if grid is not None else _default_grid(f, target)
+    # the tables validate the target, so they come before its default grid
     (table,) = _tolerance_tables(f, [target], budget, sample, seed, sample_size)
+    eps_grid = grid if grid is not None else _default_grid(f, target)
     rows = [ProfileRow(eps, *_delta_star(table, eps)) for eps in eps_grid]
     for a, b in zip(rows, rows[1:]):
         if _row_sort_key(a.delta_star) > _row_sort_key(b.delta_star):

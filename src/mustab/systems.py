@@ -66,6 +66,8 @@ def parse_system(text: str) -> SystemFile:
         obj = json.loads(text)
     except json.JSONDecodeError as ex:
         raise UsageError(f"not valid JSON: {ex}") from None
+    except RecursionError:
+        raise UsageError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise UsageError("top level must be a JSON object")
     for key in ("points", "metric", "maps", "measures"):
@@ -148,7 +150,7 @@ def load_system(path: str) -> SystemFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise UsageError(f"cannot read {path}: {ex}") from None
     return parse_system(text)
 

@@ -111,6 +111,22 @@ def test_gen_range_error(capsys):
     assert "cannot hold" in capsys.readouterr().err
 
 
+def test_gen_unwritable_output(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "out.json"):
+        assert main(["gen", "-n", "3", "--seed", "0", "-o", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+
+def test_validate_undecodable_and_deeply_nested_files(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    for path in (binary, deep):
+        assert main(["validate", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_analyze_text(system_file, capsys):
     assert main(["analyze", system_file]) == 0
     out = capsys.readouterr().out
@@ -156,9 +172,10 @@ def test_shadowing_profile_with_measure(system_file, capsys):
 
 
 def test_unsound_shadowing_oracle_exits_1(system_file, capsys, monkeypatch):
-    # an oracle that rejects even the sub-grid delta contradicts itself
-    monkeypatch.setattr(mustab.shadowing, "shadowable_start_set",
-                        lambda f, eps, delta: frozenset())
+    # an oracle where every start fails at rank 0 rejects even the sub-grid
+    # delta, which contradicts itself
+    monkeypatch.setattr(mustab.shadowing, "failure_ranks",
+                        lambda f, eps: (0,) * f.space.n)
     assert main(["shadowing-profile", system_file]) == 1
     err = capsys.readouterr().err
     assert "verification failed" in err

@@ -3,6 +3,7 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from mustab import (
     MODE_FULL,
     MODE_WEAK,
     Measure,
+    SHADOWING_MODES,
     ThresholdGrid,
     exact_oracle_bound,
     generate_system,
@@ -26,18 +28,9 @@ from mustab.errors import (
     MissingMeasure,
     OutOfRange,
 )
-from mustab.shadowing import PseudoOrbitGraph, tube_states
+from mustab.shadowing import tube_states
 
 from bruteforce import direct_tube, random_pseudo_prefix
-
-
-def test_graph_contains_true_edges(path_space):
-    f = EndoMap(path_space, (1, 2, 3, 3))
-    for delta in ThresholdGrid.deltas(path_space):
-        graph = PseudoOrbitGraph.build(f, delta)
-        for x in range(4):
-            assert f.table[x] in graph.succ[x]
-            assert len(graph.succ[x]) >= 1
 
 
 def test_tube_states_need_a_prefix(two_point):
@@ -217,3 +210,86 @@ def test_oracle_agrees_with_automaton_small_system():
             s = shadowable_start_set(f, eps, delta)
             for x0 in range(space.n):
                 assert (x0 in s) == lasso_oracle(f, eps, delta, x0, bound)
+
+
+# ---------------------------------------------------------------------------
+# shadowing_delta and off-grid start sets against the lasso oracle
+
+
+def _oracle_starts(f, eps, delta):
+    bound = exact_oracle_bound(f.space.n)
+    return frozenset(
+        x0 for x0 in range(f.space.n) if lasso_oracle(f, eps, delta, x0, bound)
+    )
+
+
+def _scan_delta(f, eps, mode, mu, oracle):
+    """Top-down scan of the delta grid over oracle start sets."""
+    n = f.space.n
+    for delta in reversed(ThresholdGrid.deltas(f.space).values):
+        s = oracle[delta]
+        if mode == MODE_ALL:
+            ok = len(s) == n
+        elif mode == MODE_FULL:
+            ok = all(p in s for p in range(n) if mu.weights[p] > 0)
+        else:
+            ok = mu.mass(s) >= 1 - eps
+        if ok:
+            return delta
+    return None
+
+
+@pytest.mark.parametrize("which", ["cluster", "three_cycle"])
+def test_delta_and_off_grid_starts_match_oracle_on_every_self_map(
+    which, cluster_space, three_cycle
+):
+    space = cluster_space if which == "cluster" else three_cycle[0]
+    n = space.n
+    deltas = ThresholdGrid.deltas(space).values
+    off_grid = tuple((a + b) / 2 for a, b in zip(deltas, deltas[1:]))
+    off_grid += (space.diameter + 1,)
+    measures = (Measure.dirac(space, 0), Measure.uniform(space))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ftab in product(range(n), repeat=n):
+            f = EndoMap(space, ftab)
+            eps_values = set()
+            for mu in measures:
+                eps_values.update(ThresholdGrid.epsilons(space, mu).values)
+            oracles = {
+                eps: {d: _oracle_starts(f, eps, d) for d in deltas + off_grid}
+                for eps in sorted(eps_values)
+            }
+            for eps, oracle in oracles.items():
+                for delta in off_grid:
+                    assert shadowable_start_set(f, eps, delta) == oracle[delta], (
+                        ftab, eps, delta)
+            for mu in measures:
+                for eps in ThresholdGrid.epsilons(space, mu):
+                    oracle = oracles[eps]
+                    for mode in SHADOWING_MODES:
+                        want = _scan_delta(f, eps, mode, mu, oracle)
+                        got = shadowing_delta(f, eps, mode, mu)
+                        assert got == want, (ftab, mu.weights, eps, mode)
+
+
+def test_repeated_calls_on_one_map_match_fresh_maps():
+    """Answers on one map, asked in shuffled order, equal a fresh map's."""
+    rng = random.Random(5)
+    for seed in (600, 601, 602):
+        sysf = generate_system(GeneratorSpec(n=5, seed=seed))
+        f = sysf.maps["f"]
+        mu = sysf.measures["full"]
+        space = f.space
+        eps_values = list(ThresholdGrid.epsilons(space, mu).values)
+        deltas = ThresholdGrid.deltas(space).values
+        for _ in range(2):
+            rng.shuffle(eps_values)
+            for eps in eps_values:
+                fresh = EndoMap(space, f.table)
+                mode = rng.choice(SHADOWING_MODES)
+                assert shadowing_delta(f, eps, mode, mu) == shadowing_delta(
+                    fresh, eps, mode, mu)
+                delta = rng.choice(deltas)
+                assert shadowable_start_set(f, eps, delta) == shadowable_start_set(
+                    EndoMap(space, f.table), eps, delta)

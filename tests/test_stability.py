@@ -401,6 +401,11 @@ def test_argument_validation(two_point, path_space, uniform_two):
         stability_delta(ident, PointTarget(0), Fraction(-1))
     with pytest.raises(OutOfRange):
         stability_delta(ident, PointTarget(5), Fraction(0))
+    with pytest.raises(OutOfRange):
+        stability_profile(ident, PointTarget(5))
+    with pytest.raises(OutOfRange):  # no draws would pass every radius vacuously
+        stability_delta(ident, PointTarget(0), Fraction(0), budget=1, sample=True,
+                        sample_size=0)
     with pytest.raises(MismatchedSpace):
         stability_delta(ident, MeasureTarget(Measure.uniform(path_space)), Fraction(0))
     with pytest.raises(TypeError):
