@@ -37,6 +37,7 @@ from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageErro
 
 from bruteforce import (
     measure_witness_eps,
+    orbit_closure_naive,
     point_witness_eps,
     setvalued_witness_eps,
     stability_delta_naive,
@@ -174,6 +175,26 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
             slow = _naive_eps_min(f.space, f.table, target)
             for gtab in product(range(3), repeat=3):
                 assert fast(gtab) == slow(gtab)
+
+    # Every (f, g) pair of self-maps of cluster_space, at every marked point
+    # and at a measure whose atoms 1 and 2 both sit above the massless point
+    # 0.  An orbit that runs through a point of smaller index than its root
+    # is where branching at the roots alone and branching at every point of
+    # the closure in index order take different paths to the minimum.
+    two_atoms = Measure.from_weights(cluster_space, (0, "1/3", "2/3"))
+    maps = list(product(range(3), repeat=3))
+    below_root = 0
+    for ftab in maps:
+        f = EndoMap(cluster_space, ftab)
+        for target in [PointTarget(p) for p in range(3)] + [MeasureTarget(two_atoms)]:
+            fast = _eps_min_fn(f, target)
+            slow = _naive_eps_min(cluster_space, ftab, target)
+            for gtab in maps:
+                assert fast(gtab) == slow(gtab), (ftab, target, gtab)
+                if isinstance(target, PointTarget):
+                    p = target.point
+                    below_root += min(orbit_closure_naive(gtab, [p])) < p
+    assert below_root == 27 * (12 + 18)  # per f: 12 maps g at p = 1, 18 at p = 2
 
 
 def test_eps_min_sampled_larger_space():
