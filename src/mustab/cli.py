@@ -74,16 +74,21 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def _env_budget() -> int:
-    raw = os.environ.get("MUSTAB_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"MUSTAB_BUDGET={raw!r} is not an integer") from None
+def _budget(flag: int | None) -> int:
+    """The enumeration budget: --budget, else MUSTAB_BUDGET, else the default."""
+    if flag is not None:
+        value, source = flag, "--budget"
+    else:
+        raw = os.environ.get("MUSTAB_BUDGET")
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"MUSTAB_BUDGET={raw!r} is not an integer") from None
+        source = "MUSTAB_BUDGET"
     if value < 1:
-        raise UsageError("MUSTAB_BUDGET must be positive")
+        raise UsageError(f"{source} must be positive")
     return value
 
 
@@ -254,9 +259,8 @@ def _cmd_stability_profile(args) -> int:
     sysf = load_system(args.file)
     fname, f = _pick_map(sysf, args.map)
     target = _parse_target(sysf, args.target)
-    budget = args.budget if args.budget is not None else _env_budget()
     profile = stability_profile(
-        f, target, budget=budget, sample=args.sample,
+        f, target, budget=_budget(args.budget), sample=args.sample,
         seed=args.seed, sample_size=args.sample_size,
     )
     if args.json:
@@ -322,10 +326,9 @@ def _cmd_check_theorem(args) -> int:
     item = args.item if args.item is not None else args.item_flag
     if item is None:
         raise UsageError("pick a theorem item (positional or --item)")
-    budget = args.budget if args.budget is not None else _env_budget()
     report = theorem_check(
         item, trials=args.trials, seed=args.seed,
-        max_points=args.max_points, budget=budget,
+        max_points=args.max_points, budget=_budget(args.budget),
     )
     if args.json:
         print(json.dumps({

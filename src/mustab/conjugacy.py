@@ -91,7 +91,8 @@ def shadow_point(f: EndoMap, lasso: Lasso, eps: Fraction) -> int | None:
     space = f.space
     validate_lasso(lasso, space)
     n = space.n
-    dist = space.dist
+    ranks = space.distance_ranks
+    r = space.radius_rank(eps)
     table = f.table
     t = len(lasso.tail)
     c = len(lasso.cycle)
@@ -103,7 +104,7 @@ def shadow_point(f: EndoMap, lasso: Lasso, eps: Fraction) -> int | None:
         seen: set[tuple[int, int]] = set()
         while (cur, pos) not in seen:
             seen.add((cur, pos))
-            if dist[cur][seq[pos]] > eps:
+            if ranks[cur][seq[pos]] > r:
                 ok = False
                 break
             cur = table[cur]

@@ -299,9 +299,14 @@ def c0_distance(f: EndoMap, g: EndoMap) -> Fraction:
     return max(d[a][b] for a, b in zip(f.table, g.table))
 
 
-def _ball_points(space: FiniteMetricSpace, center: int, radius: Fraction) -> tuple[int, ...]:
-    r = space.radius_rank(radius)
-    return tuple(x for x, k in enumerate(space.distance_ranks[center]) if k <= r)
+def _ball_choices(f: EndoMap, delta: Fraction) -> list[tuple[int, ...]]:
+    """Per point x, the points within ``delta`` of f(x), ascending.
+
+    The delta-ball around f is the product of these tuples, in this order.
+    """
+    space = f.space
+    r = space.radius_rank(delta)
+    return [tuple(x for x, k in enumerate(space.distance_ranks[v]) if k <= r) for v in f.table]
 
 
 def perturbation_count(f: EndoMap, delta: Fraction) -> int:
@@ -309,8 +314,8 @@ def perturbation_count(f: EndoMap, delta: Fraction) -> int:
     if delta < 0:
         raise OutOfRange("delta must be >= 0")
     count = 1
-    for i in range(f.space.n):
-        count *= len(_ball_points(f.space, f.table[i], delta))
+    for choices in _ball_choices(f, delta):
+        count *= len(choices)
     return count
 
 
@@ -327,7 +332,7 @@ def enumerate_perturbations(
     if count > budget:
         raise BudgetExceeded(count, budget)
     space = f.space
-    choices = [_ball_points(space, f.table[i], delta) for i in range(space.n)]
+    choices = _ball_choices(f, delta)
 
     def _gen() -> Iterator[EndoMap]:
         for table in product(*choices):
@@ -345,7 +350,7 @@ def sample_perturbations(
     verdicts based on a sample are only ever "no counterexample found".
     """
     space = f.space
-    choices = [_ball_points(space, f.table[i], delta) for i in range(space.n)]
+    choices = _ball_choices(f, delta)
     rng = random.Random(seed)
     out = []
     for _ in range(count):

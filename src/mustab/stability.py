@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .conjugacy import CheckResult, PartialMap, build_semiconjugacy, verify_semiconjugacy
 from .core import (
@@ -34,7 +33,7 @@ from .core import (
     FiniteMetricSpace,
     Measure,
     ThresholdGrid,
-    _ball_points,
+    _ball_choices,
     ac_threshold,
     atoms,
     convex_combine,
@@ -119,17 +118,6 @@ class SetValuedMap:
 # minimal passing tolerance, per perturbation
 
 
-def _orbit_with_tail(gtab: tuple[int, ...], start: int) -> tuple[list[int], int]:
-    seen: dict[int, int] = {}
-    orbit: list[int] = []
-    x = start
-    while x not in seen:
-        seen[x] = len(orbit)
-        orbit.append(x)
-        x = gtab[x]
-    return orbit, seen[x]
-
-
 def _closure_mask(gtab: tuple[int, ...], mask: int) -> int:
     out = 0
     stack = mask
@@ -146,78 +134,41 @@ def _closure_mask(gtab: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _eps_min_point(
-    dist: tuple[tuple[Fraction, ...], ...],
-    ftab: tuple[int, ...],
-    gtab: tuple[int, ...],
-    p: int,
-) -> Fraction | None:
-    """Least eps at which g admits a point-mode witness at p; None if never.
-
-    h is forced along the orbit by h(g^k(p)) = f^k(h(p)), so the search runs
-    over the single free value h(p): the candidate must stay eps-close along
-    the whole orbit and must respect the orbit's eventual period.
-    """
-    orbit, t = _orbit_with_tail(gtab, p)
-    L = len(orbit)
-    n = len(ftab)
-    best: Fraction | None = None
-    for c in range(n):
-        cur = c
-        val_t = c if t == 0 else None
-        m = dist[c][orbit[0]]
-        if best is not None and m >= best:
-            continue
-        dead = False
-        for k in range(1, L + 1):
-            cur = ftab[cur]
-            if k == t:
-                val_t = cur
-            if k < L:
-                d = dist[cur][orbit[k]]
-                if d > m:
-                    if best is not None and d >= best:
-                        dead = True
-                        break
-                    m = d
-        if dead:
-            continue
-        if cur != val_t:
-            continue
-        if best is None or m < best:
-            best = m
-    return best
-
-
 def _hmin(
     dist: tuple[tuple[Fraction, ...], ...],
     ftab: tuple[int, ...],
     gtab: tuple[int, ...],
-    ys: list[int],
+    roots: Sequence[int],
     by_dist: tuple[tuple[int, ...], ...],
     upper: Fraction | None,
 ) -> Fraction | None:
-    """Minimal max displacement of an intertwining h on the g-invariant set ys.
+    """Minimal max displacement of an h with f(h(y)) = h(g(y)) on Y, the
+    g-orbit closure of ``roots``; None when no such h exists.
 
-    Branch and bound: assigning h at a point forces h forward along the
-    g-chain, so choices only happen at points not yet forced.  Returns the
-    exact minimum when it is below ``upper`` (exclusive), else None.
+    Every point of Y is g^k(r) for some root r, and there h is forced to be
+    f^k(h(r)).  So h is fixed by its values at the roots, and the search
+    branches only there, in the given order, skipping a root an earlier one
+    already forced.  Each choice is pushed forward along the g-chain until it
+    meets an assigned point, where the forced value must agree.  Every h on
+    Y that intertwines is reached exactly once, so the minimum is the one
+    over all such h.  Branch and bound: candidates are tried nearest first.
+    Returns the exact minimum when it is below ``upper`` (exclusive), else
+    None.
     """
     assign: dict[int, int] = {}
     best = upper
     found: Fraction | None = None
     zero = Fraction(0)
-    ys_sorted = sorted(ys)
 
     def search(idx: int, curmax: Fraction) -> None:
         nonlocal best, found
-        while idx < len(ys_sorted) and ys_sorted[idx] in assign:
+        while idx < len(roots) and roots[idx] in assign:
             idx += 1
-        if idx == len(ys_sorted):
+        if idx == len(roots):
             best = curmax
             found = curmax
             return
-        y = ys_sorted[idx]
+        y = roots[idx]
         for c in by_dist[y]:
             d0 = dist[c][y]
             if best is not None and d0 >= best and d0 >= curmax:
@@ -265,7 +216,8 @@ def _eps_min_measure(
 
     A witness can be shrunk to the g-orbit closure of the atoms it keeps
     without losing mass or feasibility, so only closures of atom subsets
-    need examining.  The empty set is admissible and costs exactly eps = 1.
+    need examining, with those atoms as the roots of h.  The empty set is
+    admissible and costs exactly eps = 1.
     """
     one = Fraction(1)
     best = one  # empty Y: all mass lost, trivial h
@@ -287,13 +239,8 @@ def _eps_min_measure(
         out_mass = one - kept
         if out_mass >= best:
             continue
-        ys = []
-        m = y_mask
-        while m:
-            low = m & -m
-            ys.append(low.bit_length() - 1)
-            m ^= low
-        hm = _hmin(dist, ftab, gtab, ys, by_dist, upper=best)
+        roots = [a for i, a in enumerate(atom_list) if bits >> i & 1]
+        hm = _hmin(dist, ftab, gtab, roots, by_dist, upper=best)
         if hm is None:
             continue
         cand = hm if hm > out_mass else out_mass
@@ -377,7 +324,12 @@ def _by_dist(space: FiniteMetricSpace) -> tuple[tuple[int, ...], ...]:
 
 
 def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fraction | None]:
-    """Bind the per-perturbation minimal-tolerance function for one target."""
+    """Bind the per-perturbation minimal-tolerance function for one target.
+
+    Point and measure mode share one intertwining search, _hmin: point mode
+    roots it at the marked point p, so h lives on the g-orbit closure of p;
+    measure mode roots it at the atoms of each subset it tries.
+    """
     space = f.space
     dist = space.dist
     ftab = f.table
@@ -386,17 +338,18 @@ def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fract
         p = target.point
         if not 0 <= p < space.n:
             raise OutOfRange(f"point {p} is not an index into the space")
-        return lambda gtab: _eps_min_point(dist, ftab, gtab, p)
-    measure = target.measure
-    if measure.space != space:
+    elif target.measure.space != space:
         raise MismatchedSpace("target measure lives over another space")
-    if mode == "measure":
-        atom_list = tuple(sorted(atoms(measure)))
-        by_dist = _by_dist(space)
-        weights = measure.weights
-        return lambda gtab: _eps_min_measure(dist, ftab, gtab, weights, atom_list, by_dist)
-    weights = measure.weights
-    return lambda gtab: _eps_min_setvalued(space, ftab, gtab, weights)
+    if mode == "setvalued":
+        weights = target.measure.weights
+        return lambda gtab: _eps_min_setvalued(space, ftab, gtab, weights)
+    by_dist = _by_dist(space)
+    if mode == "point":
+        roots = (p,)
+        return lambda gtab: _hmin(dist, ftab, gtab, roots, by_dist, None)
+    weights = target.measure.weights
+    atom_list = tuple(sorted(atoms(target.measure)))
+    return lambda gtab: _eps_min_measure(dist, ftab, gtab, weights, atom_list, by_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +377,11 @@ def _worst_tolerances(
     """
     space = f.space
     zero = Fraction(0)
-    levels = (zero,) + space.distance_values
-    rank = {d: k for k, d in enumerate(levels)}
-    rows = [tuple(rank[d] for d in space.dist[v]) for v in f.table]
+    rows = [space.distance_ranks[v] for v in f.table]
     if draws is None:
-        draws = product(*(_ball_points(space, v, deltas[-1]) for v in f.table))
-    by_rank: list[list[Fraction | None]] = [[zero] * len(levels) for _ in fns]
+        draws = product(*_ball_choices(f, deltas[-1]))
+    by_rank: list[list[Fraction | None]] = [
+        [zero] * (len(space.distance_values) + 1) for _ in fns]
     for gtab in draws:
         r = 0
         for row, x in zip(rows, gtab):
@@ -449,7 +401,7 @@ def _worst_tolerances(
             if cur is not None and (em is None or em > cur):
                 cur = em
             running.append(cur)
-        out.append([running[bisect_right(levels, d) - 1] for d in deltas])
+        out.append([running[space.radius_rank(d)] for d in deltas])
     return out
 
 
@@ -812,10 +764,6 @@ def _modulus(space: FiniteMetricSpace, htab: tuple[int, ...], t: Fraction) -> Fr
     return out
 
 
-def _conjugate_table(ftab, htab, hinv):
-    return tuple(htab[ftab[hinv[x]]] for x in range(len(ftab)))
-
-
 def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
     # isometric conjugation: identical profiles; general bijection: profiles
     # degrade by no more than the moduli of continuity of the bijection
@@ -833,13 +781,10 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
         perm = tuple(perm)
         space_i = _symmetrize(space0, perm)
         f = EndoMap(space_i, f0.table)
-        hinv = [0] * n
-        for i, v in enumerate(perm):
-            hinv[v] = i
-        hinv = tuple(hinv)
+        iso = EndoMap(space_i, perm)
         mu = _random_measure(space_i, rng)
-        f_conj = EndoMap(space_i, _conjugate_table(f.table, perm, hinv))
-        mu_conj = pushforward(EndoMap(space_i, perm), mu)
+        f_conj = iso.compose(f).compose(iso.inverse())
+        mu_conj = pushforward(iso, mu)
         (t_f,) = _tolerance_tables(f, [MeasureTarget(mu)], budget)
         (t_c,) = _tolerance_tables(f_conj, [MeasureTarget(mu_conj)], budget)
         grid_a = ThresholdGrid.epsilons(space_i, mu)
@@ -871,13 +816,11 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
         if hperm is None:
             skipped += 1
             continue
-        hinv2 = [0] * n
-        for i, v in enumerate(hperm):
-            hinv2[v] = i
-        hinv2 = tuple(hinv2)
+        h = EndoMap(space0, hperm)
+        hinv = h.inverse()
         nu = _random_measure(space0, rng)
-        g_conj = EndoMap(space0, _conjugate_table(f0.table, hperm, hinv2))
-        nu_conj = pushforward(EndoMap(space0, hperm), nu)
+        g_conj = h.compose(f0).compose(hinv)
+        nu_conj = pushforward(h, nu)
         dgrid0 = ThresholdGrid.deltas(space0)
         (t_f0,) = _tolerance_tables(f0, [MeasureTarget(nu)], budget)
         (t_c0,) = _tolerance_tables(g_conj, [MeasureTarget(nu_conj)], budget)
@@ -889,7 +832,7 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
             if d_f is None:
                 continue
             m2 = max(t for t in dgrid0.values
-                     if _modulus(space0, hinv2, t) <= d_f)
+                     if _modulus(space0, hinv.table, t) <= d_f)
             lhs = _delta_star(t_c0, eps).delta_star
             checks += 1
             if lhs is None or lhs < m2:

@@ -253,6 +253,16 @@ def test_budget_env_override(line_file, monkeypatch, capsys):
     monkeypatch.setenv("MUSTAB_BUDGET", "lots")
     assert main(["stability-profile", line_file, "--target", "measure:dirac"]) == 2
     assert "not an integer" in capsys.readouterr().err
+    # a budget below 1 is bad input from either source, on both subcommands
+    for argv in (["stability-profile", line_file, "--target", "measure:dirac"],
+                 ["check-theorem", "7", "--trials", "1", "--max-points", "2"]):
+        for bad in ("0", "-1"):
+            monkeypatch.setenv("MUSTAB_BUDGET", bad)
+            assert main(argv) == 2
+            assert "MUSTAB_BUDGET must be positive" in capsys.readouterr().err
+            monkeypatch.delenv("MUSTAB_BUDGET")
+            assert main(argv + ["--budget", bad]) == 2
+            assert "--budget must be positive" in capsys.readouterr().err
 
 
 def test_semiconjugacy_identity_perturbation(line_file, capsys):

@@ -32,7 +32,9 @@ from mustab import (
     theorem_check,
     validate_space,
 )
-from mustab.stability import SetValuedMap, _eps_min_fn, _trials, target_mode
+from mustab.stability import (
+    SetValuedMap, _by_dist, _eps_min_fn, _hmin, _trials, target_mode,
+)
 from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
 
 from bruteforce import (
@@ -182,6 +184,7 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
     # is where branching at the roots alone and branching at every point of
     # the closure in index order take different paths to the minimum.
     two_atoms = Measure.from_weights(cluster_space, (0, "1/3", "2/3"))
+    by_dist = _by_dist(cluster_space)
     maps = list(product(range(3), repeat=3))
     below_root = 0
     for ftab in maps:
@@ -194,6 +197,9 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
                 if isinstance(target, PointTarget):
                     p = target.point
                     below_root += min(orbit_closure_naive(gtab, [p])) < p
+                    # a root that an earlier root forces is skipped, not chosen
+                    forced = _hmin(cluster_space.dist, ftab, gtab, [p, gtab[p]], by_dist, None)
+                    assert forced == slow(gtab), (ftab, p, gtab)
     assert below_root == 27 * (12 + 18)  # per f: 12 maps g at p = 1, 18 at p = 2
 
 
