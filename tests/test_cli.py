@@ -5,6 +5,7 @@ captured output; nothing here shells out.
 """
 
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,16 @@ def test_stability_profile_budget_exceeded(line_file, capsys):
                  "--budget", "10"]) == 3
     assert "budget exceeded" in capsys.readouterr().err
 
+
+
+def test_large_system_exceeds_budget_at_once(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_system(generate_system(GeneratorSpec(n=24, seed=3)), str(path))
+    for target in ("measure:full", "setvalued:full"):
+        start = time.perf_counter()
+        assert main(["stability-profile", str(path), "--target", target]) == 3
+        assert time.perf_counter() - start < 2, target
+        assert "budget exceeded" in capsys.readouterr().err
 
 def test_stability_profile_sampling(line_file, capsys):
     assert main(["stability-profile", line_file, "--target", "measure:dirac",

@@ -7,6 +7,7 @@ witness straight from the definitions.
 
 import json
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -203,6 +204,57 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
     assert below_root == 27 * (12 + 18)  # per f: 12 maps g at p = 1, 18 at p = 2
 
 
+def test_eps_min_agrees_with_bruteforce_on_coprime_denominators():
+    """All three modes against the definitions, where distances and weights
+    share no denominator: any slip in a common scale shows as a wrong value.
+
+    Every (f, g) pair of self-maps of a 3-point space with distances 1/10,
+    1/3 and 4/11, under a measure in sevenths and a measure whose lost mass
+    1/3 equals the distance d(a, c): there the displacement and the lost
+    mass of one witness tie, and the pruning of a subset whose lost mass
+    already reaches the best tolerance meets equality.  Then every g of one
+    f on a 4-point space (set-valued mode on every 32nd g: its oracle tries
+    all (2^4)^4 set-valued maps per g).
+    """
+    space = validate_space(
+        ("a", "b", "c"),
+        ((0, "1/10", "1/3"), ("1/10", 0, "4/11"), ("1/3", "4/11", 0)),
+    )
+    sevenths = Measure.from_weights(space, ("1/7", "2/7", "4/7"))
+    tie = Measure.from_weights(space, ("1/3", "0", "2/3"))
+    targets = [PointTarget(p) for p in range(3)]
+    for mu in (sevenths, tie):
+        targets += [MeasureTarget(mu), SetValuedTarget(mu)]
+    maps = list(product(range(3), repeat=3))
+    ties = 0
+    for ftab in maps:
+        f = EndoMap(space, ftab)
+        for target in targets:
+            fast = _eps_min_fn(f, target)
+            slow = _naive_eps_min(space, ftab, target)
+            for gtab in maps:
+                got = fast(gtab)
+                assert got == slow(gtab), (ftab, target, gtab)
+                ties += target == MeasureTarget(tie) and got == Fraction(1, 3)
+    assert ties == 296  # (f, g) pairs whose least tolerance is the tied 1/3
+
+    line = (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6))
+    space4 = validate_space("0123", [[abs(a - b) for b in line] for a in line])
+    fifths = Measure.from_weights(space4, ("1/5", "2/5", "0", "2/5"))
+    f = EndoMap(space4, (1, 2, 3, 0))
+    maps4 = list(product(range(4), repeat=4))
+    for target, gtabs in (
+        (PointTarget(0), maps4),
+        (PointTarget(2), maps4),
+        (MeasureTarget(fifths), maps4),
+        (SetValuedTarget(fifths), maps4[::32]),
+    ):
+        fast = _eps_min_fn(f, target)
+        slow = _naive_eps_min(space4, f.table, target)
+        for gtab in gtabs:
+            assert fast(gtab) == slow(gtab), (target, gtab)
+
+
 def test_eps_min_sampled_larger_space():
     """Spot-check n = 4 against the definitional search on sampled g."""
     rng = random.Random(23)
@@ -377,6 +429,19 @@ def test_budget_and_sampling_semantics():
     again = stability_delta(f, target, Fraction(1), budget=200, sample=True)
     assert again == got
 
+
+
+def test_large_system_exceeds_budget_before_any_table():
+    """Binding a target costs polynomial time in n: a 24-point system must
+    reach the budget check at once, with no table over all 2^24 point sets."""
+    sysf = generate_system(GeneratorSpec(n=24, seed=3))
+    f = sysf.maps["f"]
+    mu = sysf.measures["full"]
+    for target in (MeasureTarget(mu), SetValuedTarget(mu)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            stability_profile(f, target)
+        assert time.perf_counter() - start < 2, target_mode(target)
 
 def test_sampled_profile_flags_rows():
     sysf = generate_system(GeneratorSpec(n=5, seed=1201))
