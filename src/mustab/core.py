@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -91,6 +92,25 @@ class FiniteMetricSpace:
         """
         rank = {v: r for r, v in enumerate((Fraction(0),) + self.distance_values)}
         return tuple(tuple(rank[d] for d in row) for row in self.dist)
+
+    @cached_property
+    def scale(self) -> int:
+        """The least common denominator of the distances."""
+        return lcm(*(d.denominator for row in self.dist for d in row))
+
+    @cached_property
+    def scaled_dist(self) -> tuple[tuple[int, ...], ...]:
+        """dist times ``scale``: the same order and sums, on ints."""
+        s = self.scale
+        return tuple(tuple(d.numerator * (s // d.denominator) for d in row) for row in self.dist)
+
+    @cached_property
+    def nearest_first(self) -> tuple[tuple[int, ...], ...]:
+        """Per point y, every point by distance from y, ties by index."""
+        n = self.n
+        return tuple(
+            tuple(sorted(range(n), key=lambda c: (self.distance_ranks[c][y], c))) for y in range(n)
+        )
 
     def radius_rank(self, radius: Fraction) -> int:
         """The largest index into (0,) + distance_values of a value <= radius.

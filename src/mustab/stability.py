@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .conjugacy import CheckResult, PartialMap, build_semiconjugacy, verify_semiconjugacy
@@ -116,32 +117,20 @@ class SetValuedMap:
 
 # ---------------------------------------------------------------------------
 # minimal passing tolerance, per perturbation
-
-
-def _closure_mask(gtab: tuple[int, ...], mask: int) -> int:
-    out = 0
-    stack = mask
-    while stack:
-        low = stack & -stack
-        stack ^= low
-        x = low.bit_length() - 1
-        if out & low:
-            continue
-        out |= low
-        nxt = 1 << gtab[x]
-        if not out & nxt:
-            stack |= nxt
-    return out
+#
+# The searches run on ints: every distance and every target weight is scaled
+# by one common denominator, so they only compare and add ints, and a result
+# becomes a Fraction once, when it enters a table.
 
 
 def _hmin(
-    dist: tuple[tuple[Fraction, ...], ...],
+    dist: Sequence[Sequence[int]],
     ftab: tuple[int, ...],
     gtab: tuple[int, ...],
     roots: Sequence[int],
     by_dist: tuple[tuple[int, ...], ...],
-    upper: Fraction | None,
-) -> Fraction | None:
+    upper: int | None,
+) -> int | None:
     """Minimal max displacement of an h with f(h(y)) = h(g(y)) on Y, the
     g-orbit closure of ``roots``; None when no such h exists.
 
@@ -153,14 +142,14 @@ def _hmin(
     Y that intertwines is reached exactly once, so the minimum is the one
     over all such h.  Branch and bound: candidates are tried nearest first.
     Returns the exact minimum when it is below ``upper`` (exclusive), else
-    None.
+    None.  Distances may be any exact ordered numbers; the kernel passes
+    scaled ints.
     """
     assign: dict[int, int] = {}
     best = upper
-    found: Fraction | None = None
-    zero = Fraction(0)
+    found = None
 
-    def search(idx: int, curmax: Fraction) -> None:
+    def search(idx: int, curmax) -> None:
         nonlocal best, found
         while idx < len(roots) and roots[idx] in assign:
             idx += 1
@@ -200,83 +189,109 @@ def _hmin(
             for x in trail:
                 del assign[x]
 
-    search(0, zero)
+    search(0, 0)
     return found
 
 
+def _mass_tables(weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per run of 8 points, the mass of each subset of the run.
+
+    The mass of a point mask is then one lookup per byte of the mask, with
+    setup linear in n rather than a table over all 2^n masks.
+    """
+    tables = []
+    for lo in range(0, len(weights), 8):
+        table = [0]
+        for w in weights[lo:lo + 8]:
+            table += [s + w for s in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def _eps_min_measure(
-    dist: tuple[tuple[Fraction, ...], ...],
+    dist: tuple[tuple[int, ...], ...],
     ftab: tuple[int, ...],
     gtab: tuple[int, ...],
-    weights: tuple[Fraction, ...],
+    one: int,
+    mass_tables: tuple[tuple[int, ...], ...],
     atom_list: tuple[int, ...],
     by_dist: tuple[tuple[int, ...], ...],
-) -> Fraction:
-    """Least eps at which g admits a measure-mode witness.  Always <= 1.
+) -> int:
+    """Least eps at which g admits a measure-mode witness, times the scale
+    ``one``.  Always <= one.
 
     A witness can be shrunk to the g-orbit closure of the atoms it keeps
     without losing mass or feasibility, so only closures of atom subsets
-    need examining, with those atoms as the roots of h.  The empty set is
-    admissible and costs exactly eps = 1.
+    need examining, with those atoms as the roots of h.  The closure of a
+    union is the union of the closures, so these are the unions of the
+    atoms' orbits, built atom by atom, each once.  An h on a closure
+    restricts to every closure inside it, so a closure that needs at least
+    ``best`` for h makes every closure holding it need as much: it is
+    dropped, and no union is built from it.  The empty set is admissible and
+    costs exactly eps = 1.
     """
-    one = Fraction(1)
     best = one  # empty Y: all mass lost, trivial h
-    seen: set[int] = set()
-    k = len(atom_list)
-    for bits in range(1, 1 << k):
-        mask = 0
-        for i in range(k):
-            if bits >> i & 1:
-                mask |= 1 << atom_list[i]
-        y_mask = _closure_mask(gtab, mask)
-        if y_mask in seen:
-            continue
-        seen.add(y_mask)
-        kept = Fraction(0)
-        for a in atom_list:
+    live = [(0, ())]  # closures to build unions from, with their atoms
+    seen = {0}
+    dead: list[int] = []
+    for a in atom_list:
+        orbit = 0
+        x = a
+        while not orbit >> x & 1:
+            orbit |= 1 << x
+            x = gtab[x]
+        for y_mask, roots in live[:]:
             if y_mask >> a & 1:
-                kept += weights[a]
-        out_mass = one - kept
-        if out_mass >= best:
-            continue
-        roots = [a for i, a in enumerate(atom_list) if bits >> i & 1]
-        hm = _hmin(dist, ftab, gtab, roots, by_dist, upper=best)
-        if hm is None:
-            continue
-        cand = hm if hm > out_mass else out_mass
-        if cand < best:
-            best = cand
+                continue  # the closure already holds a, so it is its own union
+            u = y_mask | orbit
+            if u in seen:
+                continue
+            seen.add(u)
+            if dead and any(not z & ~u for z in dead):
+                continue
+            u_roots = roots + (a,)
+            out_mass = one
+            m = u
+            for table in mass_tables:
+                out_mass -= table[m & 255]
+                m >>= 8
+            if out_mass < best:
+                hm = _hmin(dist, ftab, gtab, u_roots, by_dist, best)
+                if hm is None or hm >= out_mass:
+                    # u costs hm, and so at least does every closure above it
+                    if hm is not None:
+                        best = hm
+                    dead.append(u)
+                    continue
+                best = out_mass
+            live.append((u, u_roots))
     return best
 
 
 def _eps_min_setvalued(
-    space: FiniteMetricSpace,
+    n: int,
     ftab: tuple[int, ...],
     gtab: tuple[int, ...],
-    weights: tuple[Fraction, ...],
-) -> Fraction:
-    """Least eps at which g admits a set-valued witness.  Always <= 1.
+    one: int,
+    weights: tuple[int, ...],
+    levels: tuple[tuple[int, tuple[int, ...]], ...],
+) -> int:
+    """Least eps at which g admits a set-valued witness, times the scale
+    ``one``.  Always <= one.
 
     Valid set-valued maps are closed under pointwise union, so a greatest
     fixed point of the pruning operator below is the best possible H for a
     given ball radius; the domain-mass condition then pins the final eps.
     Ball configurations only change at distance values, giving finitely many
-    radius levels to scan.
+    radius levels to scan: ``levels`` pairs each scaled radius below one with
+    its balls, already cut down to the massless points.
     """
-    n = space.n
-    zero_mask = 0
-    for x in range(n):
-        if weights[x] == 0:
-            zero_mask |= 1 << x
     fbit = [1 << ftab[z] for z in range(n)]
-    one = Fraction(1)
     best = one
-    levels = (Fraction(0),) + space.distance_values
-    for t in levels:
+    for t, balls in levels:
         if t >= best:
             break
-        balls = space.ball_masks(t)
-        H = [balls[x] & zero_mask for x in range(n)]
+        H = list(balls)
         changed = True
         while changed:
             changed = False
@@ -305,51 +320,73 @@ def _eps_min_setvalued(
                     # empty image forces the successor's image empty too
                     H[gtab[x]] = 0
                     changed = True
-        dom_mass = Fraction(0)
+        lost = one
         for x in range(n):
             if H[x]:
-                dom_mass += weights[x]
-        lost = one - dom_mass
+                lost -= weights[x]
         cand = t if t > lost else lost
         if cand < best:
             best = cand
     return best
 
 
-def _by_dist(space: FiniteMetricSpace) -> tuple[tuple[int, ...], ...]:
-    n = space.n
-    return tuple(
-        tuple(sorted(range(n), key=lambda c: (space.dist[c][y], c))) for y in range(n)
-    )
+class _Kernel(NamedTuple):
+    """One target's witness search on ints: ``search(gtab)`` is the least
+    passing tolerance of g times ``scale``, or None when g admits none."""
+
+    search: Callable[[tuple[int, ...]], int | None]
+    scale: int
 
 
-def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fraction | None]:
-    """Bind the per-perturbation minimal-tolerance function for one target.
+def _kernel(f: EndoMap, target: Target) -> _Kernel:
+    """Bind the per-perturbation search for one target, in time polynomial
+    in n.
 
-    Point and measure mode share one intertwining search, _hmin: point mode
-    roots it at the marked point p, so h lives on the g-orbit closure of p;
-    measure mode roots it at the atoms of each subset it tries.
+    The scale is the least common denominator of the distances and the
+    target's weights.  Point and measure mode share one intertwining search,
+    _hmin: point mode roots it at the marked point p, so h lives on the
+    g-orbit closure of p; measure mode roots it at the atoms of each subset
+    it tries.
     """
     space = f.space
-    dist = space.dist
     ftab = f.table
+    by_dist = space.nearest_first
     mode = target_mode(target)
     if mode == "point":
         p = target.point
         if not 0 <= p < space.n:
             raise OutOfRange(f"point {p} is not an index into the space")
-    elif target.measure.space != space:
+        dist, roots = space.scaled_dist, (p,)
+        return _Kernel(lambda gtab: _hmin(dist, ftab, gtab, roots, by_dist, None), space.scale)
+    mu = target.measure
+    if mu.space != space:
         raise MismatchedSpace("target measure lives over another space")
+    scale = lcm(space.scale, *(w.denominator for w in mu.weights))
+    weights = tuple(w.numerator * (scale // w.denominator) for w in mu.weights)
+    k = scale // space.scale
+    dist = tuple(tuple(d * k for d in row) for row in space.scaled_dist)
     if mode == "setvalued":
-        weights = target.measure.weights
-        return lambda gtab: _eps_min_setvalued(space, ftab, gtab, weights)
-    by_dist = _by_dist(space)
-    if mode == "point":
-        roots = (p,)
-        return lambda gtab: _hmin(dist, ftab, gtab, roots, by_dist, None)
-    weights = target.measure.weights
-    atom_list = tuple(sorted(atoms(target.measure)))
-    return lambda gtab: _eps_min_measure(dist, ftab, gtab, weights, atom_list, by_dist)
+        n = space.n
+        massless = sum(1 << x for x in range(n) if not weights[x])
+        radii = (Fraction(0),) + space.distance_values
+        levels = tuple(
+            (t, tuple(b & massless for b in space.ball_masks(r)))
+            for r, t in zip(radii, sorted({d for row in dist for d in row}))
+            if t < scale
+        )
+        return _Kernel(
+            lambda gtab: _eps_min_setvalued(n, ftab, gtab, scale, weights, levels), scale)
+    tables = _mass_tables(weights)
+    atom_list = tuple(sorted(atoms(mu)))
+    return _Kernel(
+        lambda gtab: _eps_min_measure(dist, ftab, gtab, scale, tables, atom_list, by_dist),
+        scale)
+
+
+def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fraction | None]:
+    """The kernel's result for one perturbation as the exact tolerance."""
+    search, scale = _kernel(f, target)
+    return lambda gtab: None if (v := search(gtab)) is None else Fraction(v, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -363,44 +400,45 @@ _Table = list[tuple[Fraction, Union[Fraction, None], bool]]
 
 def _worst_tolerances(
     f: EndoMap,
-    fns: list[Callable[[tuple[int, ...]], Fraction | None]],
+    kernels: list[_Kernel],
     deltas: tuple[Fraction, ...],
     draws: Iterable[tuple[int, ...]] | None = None,
 ) -> list[list[Fraction | None]]:
-    """Per eps_min function, the worst tolerance over the ball at each radius.
+    """Per kernel, the worst tolerance over the ball at each radius.
 
     ``deltas`` ascend.  One pass over the ball at the largest of them serves
-    every function and every radius: each map's distance from f is ranked
+    every kernel and every radius: each map's distance from f is ranked
     once, and smaller balls read the running worst over lower ranks.  With
     ``draws`` only those maps, drawn from that ball, are visited.  Memory is
-    O(functions x radii), whatever the size of the ball.
+    O(kernels x radii), whatever the size of the ball.  The worsts stay
+    scaled ints until they are read out as Fractions.
     """
     space = f.space
-    zero = Fraction(0)
     rows = [space.distance_ranks[v] for v in f.table]
     if draws is None:
         draws = product(*_ball_choices(f, deltas[-1]))
-    by_rank: list[list[Fraction | None]] = [
-        [zero] * (len(space.distance_values) + 1) for _ in fns]
+    searches = [kernel.search for kernel in kernels]
+    by_rank: list[list[int | None]] = [
+        [0] * (len(space.distance_values) + 1) for _ in kernels]
     for gtab in draws:
         r = 0
         for row, x in zip(rows, gtab):
             if row[x] > r:
                 r = row[x]
-        for fn, worst in zip(fns, by_rank):
+        for search, worst in zip(searches, by_rank):
             cur = worst[r]
-            if cur is not None:  # None already absorbs whatever fn says
-                em = fn(gtab)
+            if cur is not None:  # None already absorbs whatever search says
+                em = search(gtab)
                 if em is None or em > cur:
                     worst[r] = em
     out = []
-    for worst in by_rank:
+    for kernel, worst in zip(kernels, by_rank):
         running: list[Fraction | None] = []
-        cur: Fraction | None = zero
+        cur: int | None = 0
         for em in worst:
             if cur is not None and (em is None or em > cur):
                 cur = em
-            running.append(cur)
+            running.append(None if cur is None else Fraction(cur, kernel.scale))
         out.append([running[space.radius_rank(d)] for d in deltas])
     return out
 
@@ -423,9 +461,9 @@ def _tolerance_tables(
     """
     if sample and sample_size < 1:
         raise OutOfRange("sample_size must be >= 1")
-    fns = [_eps_min_fn(f, target) for target in targets]
+    kernels = [_kernel(f, target) for target in targets]
     deltas = ThresholdGrid.deltas(f.space).values
-    tables: list[_Table] = [[] for _ in fns]
+    tables: list[_Table] = [[] for _ in kernels]
     fit = len(deltas)
     while fit and (count := perturbation_count(f, deltas[fit - 1])) > budget:
         if not sample:
@@ -434,11 +472,11 @@ def _tolerance_tables(
         delta = deltas[fit]
         drawn = sample_perturbations(
             f, delta, sample_size, seed * 1_000_003 + len(deltas) - 1 - fit)
-        worst = _worst_tolerances(f, fns, (delta,), (g.table for g in drawn))
+        worst = _worst_tolerances(f, kernels, (delta,), (g.table for g in drawn))
         for table, (w,) in zip(tables, worst):
             table.append((delta, w, False))
     if fit:
-        worst = _worst_tolerances(f, fns, deltas[:fit])
+        worst = _worst_tolerances(f, kernels, deltas[:fit])
         for table, ws in zip(tables, worst):
             table.extend((d, w, True) for d, w in zip(reversed(deltas[:fit]), reversed(ws)))
     return tables

@@ -34,7 +34,7 @@ from mustab import (
     validate_space,
 )
 from mustab.stability import (
-    SetValuedMap, _by_dist, _eps_min_fn, _hmin, _trials, target_mode,
+    SetValuedMap, _eps_min_fn, _hmin, _trials, target_mode,
 )
 from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
 
@@ -185,7 +185,7 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
     # is where branching at the roots alone and branching at every point of
     # the closure in index order take different paths to the minimum.
     two_atoms = Measure.from_weights(cluster_space, (0, "1/3", "2/3"))
-    by_dist = _by_dist(cluster_space)
+    by_dist = cluster_space.nearest_first
     maps = list(product(range(3), repeat=3))
     below_root = 0
     for ftab in maps:
@@ -253,6 +253,25 @@ def test_eps_min_agrees_with_bruteforce_on_coprime_denominators():
         slow = _naive_eps_min(space4, f.table, target)
         for gtab in gtabs:
             assert fast(gtab) == slow(gtab), (target, gtab)
+
+
+def test_measure_mode_reads_masses_past_eight_points():
+    """Ten points on a line, with atoms on both sides of index 8.
+
+    f is the identity.  A g that sends one atom x to the far end 0 forces
+    h(x) = h(0), which costs at least 4 > 1, so the witness drops x and
+    loses its mass; every other point stays fixed under h = identity.
+    """
+    space = validate_space([str(i) for i in range(10)],
+                           [[abs(i - j) for j in range(10)] for i in range(10)])
+    mu = Measure.from_weights(space, ["1/16"] * 8 + ["1/8", "3/8"])
+    f = EndoMap.identity(space)
+    eps_min = _eps_min_fn(f, MeasureTarget(mu))
+    ident = tuple(range(10))
+    assert eps_min(ident) == 0
+    for x, lost in ((9, Fraction(3, 8)), (8, Fraction(1, 8)), (7, Fraction(1, 16))):
+        gtab = ident[:x] + (0,) + ident[x + 1:]
+        assert eps_min(gtab) == lost, x
 
 
 def test_eps_min_sampled_larger_space():
