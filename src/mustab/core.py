@@ -2,10 +2,11 @@
 rational probability measures.
 
 Everything here is exact: distances, weights and thresholds are
-``fractions.Fraction`` values, never floats.  On a finite space every map is
-continuous and every subset is closed, so the usual topological definitions
-collapse to finite combinatorics; this module supplies the combinatorial
-primitives the rest of the package builds on.
+``fractions.Fraction`` values, never floats; for the searches a space also
+keeps its distances as ints scaled by their common denominator.  On a finite
+space every map is continuous and every subset is closed, so the usual
+topological definitions collapse to finite combinatorics; this module
+supplies the combinatorial primitives the rest of the package builds on.
 """
 
 from __future__ import annotations

@@ -269,7 +269,6 @@ def _eps_min_measure(
 
 
 def _eps_min_setvalued(
-    n: int,
     ftab: tuple[int, ...],
     gtab: tuple[int, ...],
     one: int,
@@ -286,6 +285,7 @@ def _eps_min_setvalued(
     radius levels to scan: ``levels`` pairs each scaled radius below one with
     its balls, already cut down to the massless points.
     """
+    n = len(ftab)
     fbit = [1 << ftab[z] for z in range(n)]
     best = one
     for t, balls in levels:
@@ -366,8 +366,7 @@ def _kernel(f: EndoMap, target: Target) -> _Kernel:
     k = scale // space.scale
     dist = tuple(tuple(d * k for d in row) for row in space.scaled_dist)
     if mode == "setvalued":
-        n = space.n
-        massless = sum(1 << x for x in range(n) if not weights[x])
+        massless = sum(1 << x for x, w in enumerate(weights) if not w)
         radii = (Fraction(0),) + space.distance_values
         levels = tuple(
             (t, tuple(b & massless for b in space.ball_masks(r)))
@@ -375,7 +374,7 @@ def _kernel(f: EndoMap, target: Target) -> _Kernel:
             if t < scale
         )
         return _Kernel(
-            lambda gtab: _eps_min_setvalued(n, ftab, gtab, scale, weights, levels), scale)
+            lambda gtab: _eps_min_setvalued(ftab, gtab, scale, weights, levels), scale)
     tables = _mass_tables(weights)
     atom_list = tuple(sorted(atoms(mu)))
     return _Kernel(
