@@ -442,6 +442,14 @@ def _worst_tolerances(
     return out
 
 
+def _ball_worsts(
+    f: EndoMap, kernels: list[_Kernel], deltas: tuple[Fraction, ...],
+) -> list[list[Fraction | None]]:
+    """Per kernel, the exact worst tolerance over the whole ball at each of
+    the ascending ``deltas``."""
+    return _worst_tolerances(f, kernels, deltas)
+
+
 def _tolerance_tables(
     f: EndoMap,
     targets: list[Target],
@@ -475,7 +483,7 @@ def _tolerance_tables(
         for table, (w,) in zip(tables, worst):
             table.append((delta, w, False))
     if fit:
-        worst = _worst_tolerances(f, kernels, deltas[:fit])
+        worst = _ball_worsts(f, kernels, deltas[:fit])
         for table, ws in zip(tables, worst):
             table.extend((d, w, True) for d, w in zip(reversed(deltas[:fit]), reversed(ws)))
     return tables

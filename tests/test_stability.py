@@ -33,8 +33,10 @@ from mustab import (
     theorem_check,
     validate_space,
 )
+from mustab.core import _ball_choices
 from mustab.stability import (
-    SetValuedMap, _eps_min_fn, _hmin, _trials, target_mode,
+    SetValuedMap, _ball_worsts, _eps_min_fn, _hmin, _kernel, _trials,
+    _worst_tolerances, target_mode,
 )
 from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
 
@@ -204,6 +206,22 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
     assert below_root == 27 * (12 + 18)  # per f: 12 maps g at p = 1, 18 at p = 2
 
 
+def _coprime_space():
+    """Three points at distances 1/10, 1/3 and 4/11: no common denominator."""
+    return validate_space(
+        ("a", "b", "c"),
+        ((0, "1/10", "1/3"), ("1/10", 0, "4/11"), ("1/3", "4/11", 0)),
+    )
+
+
+def _gapped(space):
+    """Atoms at the two ends of the index order, massless points between.
+
+    On the coprime space its lost mass 1/3 ties the distance d(a, c).
+    """
+    return Measure.from_weights(space, ["1/3"] + ["0"] * (space.n - 2) + ["2/3"])
+
+
 def test_eps_min_agrees_with_bruteforce_on_coprime_denominators():
     """All three modes against the definitions, where distances and weights
     share no denominator: any slip in a common scale shows as a wrong value.
@@ -216,12 +234,9 @@ def test_eps_min_agrees_with_bruteforce_on_coprime_denominators():
     f on a 4-point space (set-valued mode on every 32nd g: its oracle tries
     all (2^4)^4 set-valued maps per g).
     """
-    space = validate_space(
-        ("a", "b", "c"),
-        ((0, "1/10", "1/3"), ("1/10", 0, "4/11"), ("1/3", "4/11", 0)),
-    )
+    space = _coprime_space()
     sevenths = Measure.from_weights(space, ("1/7", "2/7", "4/7"))
-    tie = Measure.from_weights(space, ("1/3", "0", "2/3"))
+    tie = _gapped(space)
     targets = [PointTarget(p) for p in range(3)]
     for mu in (sevenths, tie):
         targets += [MeasureTarget(mu), SetValuedTarget(mu)]
@@ -306,21 +321,60 @@ def test_stability_delta_matches_naive_filter():
                 assert got.exhaustive
 
 
-def test_profile_rows_match_naive_on_every_self_map(cluster_space):
-    """Whole profiles, every eps on the grid, every self-map of a 3-point space."""
-    space = cluster_space
-    grid = ThresholdGrid.deltas(space).values
-    mu = Measure.from_weights(space, ("1/3", "0", "2/3"))
-    targets = [PointTarget(p) for p in range(space.n)]
-    targets += [MeasureTarget(mu), SetValuedTarget(mu)]
-    for ftab in product(range(space.n), repeat=space.n):
-        f = EndoMap(space, ftab)
-        for target in targets:
-            slow_fn = cache(_naive_eps_min(space, ftab, target))
-            profile = stability_profile(f, target)
-            for row in profile.rows:
-                want = stability_delta_naive(space, ftab, grid, row.eps, slow_fn)
-                assert (row.delta_star, row.exhaustive) == (want, True), (ftab, target, row)
+def test_profile_rows_match_naive_on_every_self_map(cluster_space, three_cycle):
+    """Whole profiles, every eps on the grid, every self-map of three 3-point
+    spaces: a close pair, an equilateral one and the coprime one, each at
+    every point and under a measure with a massless point between its atoms."""
+    for space in (cluster_space, three_cycle[0], _coprime_space()):
+        grid = ThresholdGrid.deltas(space).values
+        mu = _gapped(space)
+        targets = [PointTarget(p) for p in range(space.n)]
+        targets += [MeasureTarget(mu), SetValuedTarget(mu)]
+        for ftab in product(range(space.n), repeat=space.n):
+            f = EndoMap(space, ftab)
+            for target in targets:
+                slow_fn = cache(_naive_eps_min(space, ftab, target))
+                profile = stability_profile(f, target)
+                for row in profile.rows:
+                    want = stability_delta_naive(space, ftab, grid, row.eps, slow_fn)
+                    assert (row.delta_star, row.exhaustive) == (want, True), (
+                        space.labels, ftab, target, row)
+
+
+def _assert_ball_worsts_match_enumeration(f, points, measures, deltas):
+    """The exhaustive worsts per radius equal those of a walk over every map
+    of the ball, at each given point and measure."""
+    targets = [PointTarget(p) for p in points] + [MeasureTarget(mu) for mu in measures]
+    kernels = [_kernel(f, target) for target in targets]
+    walked = _worst_tolerances(f, kernels, deltas, product(*_ball_choices(f, deltas[-1])))
+    for target, got, want in zip(targets, _ball_worsts(f, kernels, deltas), walked):
+        assert got == want, (f.table, target)
+
+
+def test_ball_worsts_match_enumeration():
+    """Random systems with n <= 6 at every point and at Dirac, full and
+    gapped measures; then the 10-point line searched to radius 1."""
+    for n, seeds in ((2, range(3, 9)), (3, range(3, 9)), (4, range(3, 7)),
+                     (5, range(3, 5)), (6, (3,))):
+        for seed in seeds:
+            sysf = generate_system(GeneratorSpec(n, seed))
+            f = sysf.maps["f"]
+            space = f.space
+            measures = [Measure.dirac(space, 0), Measure.dirac(space, n - 1)]
+            measures.append(sysf.measures["full"])
+            if n > 2:
+                measures.append(_gapped(space))
+            _assert_ball_worsts_match_enumeration(
+                f, range(n), measures, ThresholdGrid.deltas(space).values)
+
+    # 3^8 * 2^2 = 26,244 maps; atoms on both sides of index 8
+    space = validate_space([str(i) for i in range(10)],
+                           [[abs(i - j) for j in range(10)] for i in range(10)])
+    measures = [Measure.dirac(space, 8), _gapped(space),
+                Measure.from_weights(space, ["0"] * 6 + ["1/16", "1/8", "5/16", "1/2"])]
+    _assert_ball_worsts_match_enumeration(
+        EndoMap.identity(space), (0, 7, 8, 9), measures,
+        tuple(d for d in ThresholdGrid.deltas(space) if d <= 1))
 
 
 # ---------------------------------------------------------------------------
