@@ -12,9 +12,13 @@ perturbed map g (uniformly delta-close to f) a witness is:
   carries mass at least 1 - eps.
 
 All modes are monotone in eps, so each perturbation g has an exact minimal
-passing tolerance; stability thresholds over the whole grid follow from one
-enumeration of the perturbation ball.  delta_star(eps) is then the largest
-grid delta whose ball contains no perturbation needing more than eps.
+passing tolerance, and stability thresholds over the whole grid follow from
+the worst tolerance per radius over the largest perturbation ball.  Point
+and measure witnesses read g only on the g-orbit closure of p or of mu's
+atoms, so for them one depth-first search over those closures finds the
+worsts; set-valued witnesses read all of g, so that mode enumerates the
+ball.  delta_star(eps) is then the largest grid delta whose ball contains no
+perturbation needing more than eps.
 """
 
 from __future__ import annotations
@@ -332,10 +336,17 @@ def _eps_min_setvalued(
 
 class _Kernel(NamedTuple):
     """One target's witness search on ints: ``search(gtab)`` is the least
-    passing tolerance of g times ``scale``, or None when g admits none."""
+    passing tolerance of g times ``scale``, or None when g admits none.
 
-    search: Callable[[tuple[int, ...]], int | None]
+    Point and measure searches read g only on the g-orbit closure of
+    ``roots`` (p, or the sorted atoms), and ``search(gtab, roots[:k])``
+    answers for the first k roots alone.  The set-valued search reads all
+    of g and has no roots.
+    """
+
+    search: Callable[..., int | None]
     scale: int
+    roots: tuple[int, ...] | None = None
 
 
 def _kernel(f: EndoMap, target: Target) -> _Kernel:
@@ -357,7 +368,9 @@ def _kernel(f: EndoMap, target: Target) -> _Kernel:
         if not 0 <= p < space.n:
             raise OutOfRange(f"point {p} is not an index into the space")
         dist, roots = space.scaled_dist, (p,)
-        return _Kernel(lambda gtab: _hmin(dist, ftab, gtab, roots, by_dist, None), space.scale)
+        return _Kernel(
+            lambda gtab, roots=roots: _hmin(dist, ftab, gtab, roots, by_dist, None),
+            space.scale, roots)
     mu = target.measure
     if mu.space != space:
         raise MismatchedSpace("target measure lives over another space")
@@ -378,14 +391,15 @@ def _kernel(f: EndoMap, target: Target) -> _Kernel:
     tables = _mass_tables(weights)
     atom_list = tuple(sorted(atoms(mu)))
     return _Kernel(
-        lambda gtab: _eps_min_measure(dist, ftab, gtab, scale, tables, atom_list, by_dist),
-        scale)
+        lambda gtab, roots=atom_list: _eps_min_measure(
+            dist, ftab, gtab, scale, tables, roots, by_dist),
+        scale, atom_list)
 
 
 def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fraction | None]:
     """The kernel's result for one perturbation as the exact tolerance."""
-    search, scale = _kernel(f, target)
-    return lambda gtab: None if (v := search(gtab)) is None else Fraction(v, scale)
+    kernel = _kernel(f, target)
+    return lambda gtab: None if (v := kernel.search(gtab)) is None else Fraction(v, kernel.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +417,9 @@ def _worst_tolerances(
     deltas: tuple[Fraction, ...],
     draws: Iterable[tuple[int, ...]] | None = None,
 ) -> list[list[Fraction | None]]:
-    """Per kernel, the worst tolerance over the ball at each radius.
+    """Per kernel, the worst tolerance over the ball at each radius, by
+    walking maps of the ball: every map for set-valued kernels, whose search
+    reads all of g, and only the ``draws`` for sampled radii of any kernel.
 
     ``deltas`` ascend.  One pass over the ball at the largest of them serves
     every kernel and every radius: each map's distance from f is ranked
@@ -442,12 +458,81 @@ def _worst_tolerances(
     return out
 
 
+def _forest_worsts(
+    f: EndoMap, kernel: _Kernel, deltas: tuple[Fraction, ...],
+) -> list[Fraction | None]:
+    """A rooted kernel's worst tolerance over the ball at each radius, by a
+    depth-first search over orbit forests instead of a walk over the ball.
+
+    The kernel reads g only on Y, the g-orbit closure of its roots.  A map
+    of the ball that agrees with a partial map g defined exactly on Y has
+    g's tolerance and a rank at least g's rank r, the largest distance rank
+    of g(x) from f(x); g = f off Y reaches rank r.  So the running worst
+    over ranks 0..R is the same over these orbit forests as over the ball.
+
+    A forest grows one point at a time: the first unassigned point on the
+    orbit of the first root whose orbit is still open, its candidates
+    within the top radius of f(x), lowest rank first.  A node at rank r
+    whose running worst over ranks 0..r is already None is dropped, since
+    every completion ranks at least r.  Once the orbits of the first k roots
+    close, ``search(g, roots[:k])`` bounds every completion's tolerance from
+    above, as those closures and their witnesses stay available; with every
+    orbit closed it is g's exact tolerance.  A bound no larger than the
+    running worst at r cannot raise any running worst, so the subtree is
+    skipped: the running worsts only grow.
+    """
+    space = f.space
+    ranks = space.distance_ranks
+    top = space.radius_rank(deltas[-1])
+    cands = [[(c, ranks[v][c]) for c in space.nearest_first[v] if ranks[v][c] <= top]
+             for v in f.table]
+    search, roots = kernel.search, kernel.roots
+    running: list[int | None] = [0] * (top + 1)  # worst over ranks 0..r
+    g = [-1] * space.n
+
+    def grow(x: int, k: int, r: int) -> None:
+        for c, rc in cands[x]:
+            if rc < r:
+                rc = r
+            if running[rc] is None:
+                break  # candidates ascend in rank: the rest rank at least rc
+            g[x] = c
+            if g[c] < 0:
+                grow(c, k, rc)
+            else:
+                closed(k + 1, rc)
+        g[x] = -1
+
+    def closed(k: int, r: int) -> None:
+        # the orbits of roots[:k] are closed, and so is every root they hold
+        while k < len(roots) and g[roots[k]] >= 0:
+            k += 1
+        em = search(g, roots[:k])
+        if k < len(roots):
+            if em is None or em > running[r]:
+                grow(roots[k], k, r)
+            return
+        for s in range(r, top + 1):
+            cur = running[s]
+            if cur is None or (em is not None and em <= cur):
+                break  # the running worsts ascend from here on
+            running[s] = em
+
+    grow(roots[0], 0, 0)
+    return [None if (w := running[space.radius_rank(d)]) is None
+            else Fraction(w, kernel.scale) for d in deltas]
+
+
 def _ball_worsts(
     f: EndoMap, kernels: list[_Kernel], deltas: tuple[Fraction, ...],
 ) -> list[list[Fraction | None]]:
     """Per kernel, the exact worst tolerance over the whole ball at each of
-    the ascending ``deltas``."""
-    return _worst_tolerances(f, kernels, deltas)
+    the ascending ``deltas``.  Point and measure kernels search orbit
+    forests; set-valued kernels read all of g, so their ball is walked."""
+    walk = [kernel for kernel in kernels if kernel.roots is None]
+    walked = iter(_worst_tolerances(f, walk, deltas) if walk else ())
+    return [next(walked) if kernel.roots is None else _forest_worsts(f, kernel, deltas)
+            for kernel in kernels]
 
 
 def _tolerance_tables(
@@ -458,13 +543,15 @@ def _tolerance_tables(
     seed: int = 0,
     sample_size: int = 500,
 ) -> list[_Table]:
-    """One table per target, all from the same walks over the balls of f.
+    """One table per target, from the balls of f.
 
-    The largest grid delta whose ball fits the budget is walked once, and
-    every smaller delta reads off the same pass.  A larger delta raises
-    BudgetExceeded, or with ``sample=True`` draws a seeded uniform sample of
-    its ball; its verdict rests on those draws alone and is marked
-    non-exhaustive.
+    The largest grid delta whose ball fits the budget (counted in maps,
+    whatever the mode) is covered exactly once per target, and every smaller
+    delta reads off the same pass: point and measure targets search orbit
+    forests, set-valued targets share one walk over the ball.  A larger
+    delta raises BudgetExceeded, or with ``sample=True`` draws a seeded
+    uniform sample of its ball, which every target walks; its verdict rests
+    on those draws alone and is marked non-exhaustive.
     """
     if sample and sample_size < 1:
         raise OutOfRange("sample_size must be >= 1")
@@ -715,7 +802,15 @@ def _trials(trials: int, seed: int, max_points: int, budget: int,
 
 
 def _item_1(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
-    # marked-point stability and point-mass stability agree below tolerance 1
+    # marked-point stability and point-mass stability agree below tolerance 1.
+    # Both tables come from the orbit-forest search rooted at p, with _hmin
+    # at the leaves; they differ in the leaf and in what is pruned.  The
+    # point leaf is _hmin itself and may be None, which drops every forest
+    # ranked at least as high.  The Dirac leaf is _eps_min_measure: the same
+    # _hmin capped at the whole mass 1, so never None, and one atom leaves no
+    # partial bound to prune by.  The probe checks that prune, that cap and
+    # the grid and table layers; _hmin itself is checked only by
+    # tests/bruteforce.py.
     checks = 0
     for trial in _trials(trials, seed, max_points, budget):
         space = trial.f.space
