@@ -289,23 +289,6 @@ class Measure:
     def mass(self, points: Iterable[int]) -> Fraction:
         return sum((self.weights[p] for p in points), Fraction(0))
 
-    def mass_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        w = self.weights
-        while mask:
-            low = mask & -mask
-            total += w[low.bit_length() - 1]
-            mask ^= low
-        return total
-
-    @cached_property
-    def support_mask(self) -> int:
-        m = 0
-        for i, w in enumerate(self.weights):
-            if w > 0:
-                m |= 1 << i
-        return m
-
 
 def atoms(mu: Measure) -> frozenset[int]:
     """Points of positive mass.  On a finite space these carry all the mass."""

@@ -283,8 +283,6 @@ def test_dirac_uniform_mass(two_point):
     assert ma.weights == (1, 0)
     u = Measure.uniform(two_point)
     assert u.mass([0]) == Fraction(1, 2)
-    assert u.mass_of_mask(0b11) == 1
-    assert ma.support_mask == 0b01
 
 
 def test_pushforward_identity(uniform_two, two_point):
