@@ -411,6 +411,22 @@ def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fract
 _Table = list[tuple[Fraction, Union[Fraction, None], bool]]
 
 
+def _raise_worst(running: list[int | None], r: int, em: int | None) -> None:
+    """Fold in a map of rank r whose least tolerance is em: running[s] is the
+    worst over ranks 0..s, and None (no witness at all) tops every int."""
+    for s in range(r, len(running)):
+        cur = running[s]
+        if cur is None or (em is not None and em <= cur):
+            break  # the running worsts ascend from here on
+        running[s] = em
+
+
+def _read_worsts(space: FiniteMetricSpace, running: list[int | None], scale: int,
+                 deltas: tuple[Fraction, ...]) -> list[Fraction | None]:
+    return [None if (w := running[space.radius_rank(d)]) is None else Fraction(w, scale)
+            for d in deltas]
+
+
 def _worst_tolerances(
     f: EndoMap,
     kernels: list[_Kernel],
@@ -440,22 +456,11 @@ def _worst_tolerances(
         for row, x in zip(rows, gtab):
             if row[x] > r:
                 r = row[x]
-        for search, worst in zip(searches, by_rank):
-            cur = worst[r]
-            if cur is not None:  # None already absorbs whatever search says
-                em = search(gtab)
-                if em is None or em > cur:
-                    worst[r] = em
-    out = []
-    for kernel, worst in zip(kernels, by_rank):
-        running: list[Fraction | None] = []
-        cur: int | None = 0
-        for em in worst:
-            if cur is not None and (em is None or em > cur):
-                cur = em
-            running.append(None if cur is None else Fraction(cur, kernel.scale))
-        out.append([running[space.radius_rank(d)] for d in deltas])
-    return out
+        for search, running in zip(searches, by_rank):
+            if running[r] is not None:  # else every rank from r up is refuted
+                _raise_worst(running, r, search(gtab))
+    return [_read_worsts(space, running, kernel.scale, deltas)
+            for kernel, running in zip(kernels, by_rank)]
 
 
 def _forest_worsts(
@@ -508,19 +513,13 @@ def _forest_worsts(
         while k < len(roots) and g[roots[k]] >= 0:
             k += 1
         em = search(g, roots[:k])
-        if k < len(roots):
-            if em is None or em > running[r]:
-                grow(roots[k], k, r)
-            return
-        for s in range(r, top + 1):
-            cur = running[s]
-            if cur is None or (em is not None and em <= cur):
-                break  # the running worsts ascend from here on
-            running[s] = em
+        if k == len(roots):
+            _raise_worst(running, r, em)
+        elif em is None or em > running[r]:
+            grow(roots[k], k, r)
 
     grow(roots[0], 0, 0)
-    return [None if (w := running[space.radius_rank(d)]) is None
-            else Fraction(w, kernel.scale) for d in deltas]
+    return _read_worsts(space, running, kernel.scale, deltas)
 
 
 def _ball_worsts(
