@@ -47,11 +47,10 @@ from .stability import (
     MeasureTarget,
     PointTarget,
     SetValuedTarget,
-    THEOREM_ITEMS,
     stability_profile,
-    theorem_check,
 )
 from .systems import GeneratorSpec, SystemFile, generate_system, load_system, render_system
+from .theorems import THEOREM_ITEMS, theorem_check
 
 
 def _fmt(x) -> str:

@@ -35,9 +35,10 @@ from mustab import (
 )
 from mustab.core import _ball_choices
 from mustab.stability import (
-    SetValuedMap, _ball_worsts, _eps_min_fn, _hmin, _kernel, _trials,
-    _worst_tolerances, target_mode,
+    SetValuedMap, _ball_worsts, _eps_min_fn, _hmin, _kernel, _worst_tolerances,
+    target_mode,
 )
+from mustab.theorems import _trials
 from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
 
 from bruteforce import (
