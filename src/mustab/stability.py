@@ -533,13 +533,13 @@ def _tolerance_tables(
 ) -> list[_Table]:
     """One table per target, from the balls of f.
 
-    The largest grid delta whose ball fits the budget (counted in maps,
-    whatever the mode) is covered exactly once per target, and every smaller
-    delta reads off the same pass: point and measure targets search orbit
-    forests, set-valued targets share one walk over the ball.  A larger
-    delta raises BudgetExceeded, or with ``sample=True`` draws a seeded
-    uniform sample of its ball, which every target walks; its verdict rests
-    on those draws alone and is marked non-exhaustive.
+    The ball of the largest grid delta that fits the budget (counted in
+    maps, whatever the mode) is searched once per point or measure target
+    and walked once for all set-valued targets, and every smaller delta
+    reads off the same pass.  A larger delta raises BudgetExceeded, or with
+    ``sample=True`` draws a seeded uniform sample of its ball, which every
+    target walks; its verdict rests on those draws alone and is marked
+    non-exhaustive.
     """
     if sample and sample_size < 1:
         raise OutOfRange("sample_size must be >= 1")
