@@ -483,31 +483,36 @@ def _forest_worsts(
     search, roots = kernel.search, kernel.roots
     running: list[int | None] = [0] * (top + 1)  # worst over ranks 0..r
     g = [-1] * space.n
-
-    def grow(x: int, k: int, r: int) -> None:
-        for c, rc in cands[x]:
-            if rc < r:
-                rc = r
-            if running[rc] is None:
-                break  # candidates ascend in rank: the rest rank at least rc
-            g[x] = c
-            if g[c] < 0:
-                grow(c, k, rc)
-            else:
-                closed(k + 1, rc)
-        g[x] = -1
-
-    def closed(k: int, r: int) -> None:
-        # the orbits of roots[:k] are closed, and so is every root they hold
+    # one frame per assigned point, as deep as Y is large: point x on the
+    # orbit of roots[k], the rank r of the forest before x, x's next candidate
+    frames = [[roots[0], 0, 0, 0]]
+    while frames:
+        frame = frames[-1]
+        x, k, r, i = frame
+        if i == len(cands[x]):
+            g[x] = -1
+            frames.pop()
+            continue
+        c, rc = cands[x][i]
+        frame[3] = i + 1
+        if rc < r:
+            rc = r
+        if running[rc] is None:
+            frame[3] = len(cands[x])  # candidates ascend in rank: the rest rank >= rc
+            continue
+        g[x] = c
+        if g[c] < 0:
+            frames.append([c, k, rc, 0])
+            continue
+        # the orbits of roots[:k + 1] are closed, and so is every root they hold
+        k += 1
         while k < len(roots) and g[roots[k]] >= 0:
             k += 1
         em = search(g, roots[:k])
         if k == len(roots):
-            _raise_worst(running, r, em)
-        elif em is None or em > running[r]:
-            grow(roots[k], k, r)
-
-    grow(roots[0], 0, 0)
+            _raise_worst(running, rc, em)
+        elif em is None or em > running[rc]:
+            frames.append([roots[k], k, rc, 0])
     return _read_worsts(space, running, kernel.scale, deltas)
 
 
