@@ -344,17 +344,22 @@ def test_profile_rows_match_naive_on_every_self_map(cluster_space, three_cycle):
 
 def _assert_ball_worsts_match_enumeration(f, points, measures, deltas):
     """The exhaustive worsts per radius equal those of a walk over every map
-    of the ball, at each given point and measure."""
-    targets = [PointTarget(p) for p in points] + [MeasureTarget(mu) for mu in measures]
+    of the ball, at each given point and at each measure in measure and
+    set-valued mode.  Returns each target with its worsts."""
+    targets = [PointTarget(p) for p in points]
+    targets += [cls(mu) for mu in measures for cls in (MeasureTarget, SetValuedTarget)]
     kernels = [_kernel(f, target) for target in targets]
     walked = _worst_tolerances(f, kernels, deltas, product(*_ball_choices(f, deltas[-1])))
     for target, got, want in zip(targets, _ball_worsts(f, kernels, deltas), walked):
         assert got == want, (f.table, target)
+    return list(zip(targets, walked))
 
 
-def test_ball_worsts_match_enumeration():
+def test_ball_worsts_match_enumeration(cluster_space, three_cycle):
     """Random systems with n <= 6 at every point and at Dirac, full and
-    gapped measures; then the 10-point line searched to radius 1."""
+    gapped measures; every self-map of three 3-point spaces at every point
+    and at gapped, uniform and Dirac measures; then the 10-point line
+    searched to radius 1."""
     for n, seeds in ((2, range(3, 9)), (3, range(3, 9)), (4, range(3, 7)),
                      (5, range(3, 5)), (6, (3,))):
         for seed in seeds:
@@ -367,6 +372,19 @@ def test_ball_worsts_match_enumeration():
                 measures.append(_gapped(space))
             _assert_ball_worsts_match_enumeration(
                 f, range(n), measures, ThresholdGrid.deltas(space).values)
+
+    # Generated systems need set-valued tolerance 1 already at the smallest
+    # radius, so no larger ball can raise their worst.  These spaces, with
+    # distances below 1, are where the set-valued worsts rise across radii.
+    below_cap = 0
+    for space in (cluster_space, three_cycle[0], _coprime_space()):
+        measures = [_gapped(space), Measure.uniform(space), Measure.dirac(space, 0)]
+        deltas = ThresholdGrid.deltas(space).values
+        for ftab in product(range(3), repeat=3):
+            for target, worsts in _assert_ball_worsts_match_enumeration(
+                    EndoMap(space, ftab), range(3), measures, deltas):
+                below_cap += isinstance(target, SetValuedTarget) and worsts[0] < 1
+    assert below_cap == 36  # set-valued cases whose smallest ball needs < 1
 
     # 3^8 * 2^2 = 26,244 maps; atoms on both sides of index 8
     space = validate_space([str(i) for i in range(10)],
