@@ -21,10 +21,8 @@ from fractions import Fraction
 from . import __version__
 from .core import (
     DEFAULT_BUDGET,
-    Measure,
     ThresholdGrid,
     exact,
-    perturbation_count,
     render_rational,
 )
 from .conjugacy import build_semiconjugacy, verify_semiconjugacy

@@ -13,19 +13,18 @@ perturbed map g (uniformly delta-close to f) a witness is:
 
 All modes are monotone in eps, so each perturbation g has an exact minimal
 passing tolerance, and stability thresholds over the whole grid follow from
-the worst tolerance per radius over the largest perturbation ball.  Point
-and measure witnesses read g only on the g-orbit closure of p or of mu's
-atoms, so for them one depth-first search over those closures finds the
-worsts; set-valued witnesses read all of g, so that mode enumerates the
-ball.  delta_star(eps) is then the largest grid delta whose ball contains no
-perturbation needing more than eps.
+the worst tolerance per radius over the largest perturbation ball.  A
+witness reads g only on the g-orbit closure of its roots (p, mu's atoms, or
+every point for set-valued witnesses), so one depth-first search over those
+closures finds the worsts in every mode.  delta_star(eps) is then the
+largest grid delta whose ball contains no perturbation needing more than
+eps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -36,7 +35,6 @@ from .core import (
     FiniteMetricSpace,
     Measure,
     ThresholdGrid,
-    _ball_choices,
     atoms,
     exact,
     perturbation_count,
@@ -327,15 +325,19 @@ class _Kernel(NamedTuple):
     """One target's witness search on ints: ``search(gtab)`` is the least
     passing tolerance of g times ``scale``, or None when g admits none.
 
-    Point and measure searches read g only on the g-orbit closure of
-    ``roots`` (p, or the sorted atoms), and ``search(gtab, roots[:k])``
-    answers for the first k roots alone.  The set-valued search reads all
-    of g and has no roots.
+    The search reads g only on the g-orbit closure of ``roots`` (p, the
+    sorted atoms, or every point in set-valued mode), and
+    ``search(gtab, roots[:k])`` bounds from above the tolerance of every g
+    that agrees on the closure of the first k roots: it is exact for point
+    and measure kernels, and the cap for a set-valued kernel short of n
+    roots.  ``cap`` is the worst value a search can return: None (no
+    witness) in point mode, ``scale`` (tolerance 1) otherwise.
     """
 
     search: Callable[..., int | None]
     scale: int
-    roots: tuple[int, ...] | None = None
+    roots: tuple[int, ...]
+    cap: int | None
 
 
 def _kernel(f: EndoMap, target: Target) -> _Kernel:
@@ -359,7 +361,7 @@ def _kernel(f: EndoMap, target: Target) -> _Kernel:
         dist, roots = space.scaled_dist, (p,)
         return _Kernel(
             lambda gtab, roots=roots: _hmin(dist, ftab, gtab, roots, by_dist, None),
-            space.scale, roots)
+            space.scale, roots, None)
     mu = target.measure
     if mu.space != space:
         raise MismatchedSpace("target measure lives over another space")
@@ -375,20 +377,17 @@ def _kernel(f: EndoMap, target: Target) -> _Kernel:
             for r, t in zip(radii, sorted({d for row in dist for d in row}))
             if t < scale
         )
+        points = tuple(range(space.n))
         return _Kernel(
-            lambda gtab: _eps_min_setvalued(ftab, gtab, scale, weights, levels), scale)
+            lambda gtab, roots=points: scale if len(roots) < len(points)
+            else _eps_min_setvalued(ftab, gtab, scale, weights, levels),
+            scale, points, scale)
     tables = _mass_tables(weights)
     atom_list = tuple(sorted(atoms(mu)))
     return _Kernel(
         lambda gtab, roots=atom_list: _eps_min_measure(
             dist, ftab, gtab, scale, tables, roots, by_dist),
-        scale, atom_list)
-
-
-def _eps_min_fn(f: EndoMap, target: Target) -> Callable[[tuple[int, ...]], Fraction | None]:
-    """The kernel's result for one perturbation as the exact tolerance."""
-    kernel = _kernel(f, target)
-    return lambda gtab: None if (v := kernel.search(gtab)) is None else Fraction(v, kernel.scale)
+        scale, atom_list, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +419,20 @@ def _worst_tolerances(
     f: EndoMap,
     kernels: list[_Kernel],
     deltas: tuple[Fraction, ...],
-    draws: Iterable[tuple[int, ...]] | None = None,
+    draws: Iterable[tuple[int, ...]],
 ) -> list[list[Fraction | None]]:
-    """Per kernel, the worst tolerance over the ball at each radius, by
-    walking maps of the ball: every map for set-valued kernels, whose search
-    reads all of g, and only the ``draws`` for sampled radii of any kernel.
+    """Per kernel, the worst tolerance at each radius over the maps
+    ``draws`` of the ball at the largest of the ascending ``deltas``: a
+    sample for a radius too large to search, or, in the tests, every map of
+    the ball as the reference for _forest_worsts.
 
-    ``deltas`` ascend.  One pass over the ball at the largest of them serves
-    every kernel and every radius: each map's distance from f is ranked
-    once, and smaller balls read the running worst over lower ranks.  With
-    ``draws`` only those maps, drawn from that ball, are visited.  Memory is
-    O(kernels x radii), whatever the size of the ball.  The worsts stay
-    scaled ints until they are read out as Fractions.
+    One pass serves every kernel and every radius: each map's distance from
+    f is ranked once, and smaller balls read the running worst over lower
+    ranks.  Memory is O(kernels x radii), however many maps are drawn.  The
+    worsts stay scaled ints until they are read out as Fractions.
     """
     space = f.space
     rows = [space.distance_ranks[v] for v in f.table]
-    if draws is None:
-        draws = product(*_ball_choices(f, deltas[-1]))
     searches = [kernel.search for kernel in kernels]
     by_rank: list[list[int | None]] = [
         [0] * (len(space.distance_values) + 1) for _ in kernels]
@@ -455,22 +451,25 @@ def _worst_tolerances(
 def _forest_worsts(
     f: EndoMap, kernel: _Kernel, deltas: tuple[Fraction, ...],
 ) -> list[Fraction | None]:
-    """A rooted kernel's worst tolerance over the ball at each radius, by a
-    depth-first search over orbit forests instead of a walk over the ball.
+    """A kernel's exact worst tolerance over the ball at each of the
+    ascending ``deltas``, by a depth-first search over orbit forests instead
+    of a walk over the ball.
 
     The kernel reads g only on Y, the g-orbit closure of its roots.  A map
     of the ball that agrees with a partial map g defined exactly on Y has
     g's tolerance and a rank at least g's rank r, the largest distance rank
     of g(x) from f(x); g = f off Y reaches rank r.  So the running worst
     over ranks 0..R is the same over these orbit forests as over the ball.
+    A set-valued kernel is rooted at every point, so its forests are the
+    maps of the ball, each reached once.
 
     A forest grows one point at a time: the first unassigned point on the
     orbit of the first root whose orbit is still open, its candidates
     within the top radius of f(x), lowest rank first.  A node at rank r
-    whose running worst over ranks 0..r is already None is dropped, since
-    every completion ranks at least r.  Once the orbits of the first k roots
-    close, ``search(g, roots[:k])`` bounds every completion's tolerance from
-    above, as those closures and their witnesses stay available; with every
+    whose running worst over ranks 0..r is already the kernel's cap is
+    dropped: every completion ranks at least r, and no search exceeds the
+    cap.  Once the orbits of the first k roots close, ``search(g,
+    roots[:k])`` bounds every completion's tolerance from above; with every
     orbit closed it is g's exact tolerance.  A bound no larger than the
     running worst at r cannot raise any running worst, so the subtree is
     skipped: the running worsts only grow.
@@ -480,7 +479,7 @@ def _forest_worsts(
     top = space.radius_rank(deltas[-1])
     cands = [[(c, ranks[v][c]) for c in space.nearest_first[v] if ranks[v][c] <= top]
              for v in f.table]
-    search, roots = kernel.search, kernel.roots
+    search, roots, cap = kernel.search, kernel.roots, kernel.cap
     running: list[int | None] = [0] * (top + 1)  # worst over ranks 0..r
     g = [-1] * space.n
     # one frame per assigned point, as deep as Y is large: point x on the
@@ -497,7 +496,7 @@ def _forest_worsts(
         frame[3] = i + 1
         if rc < r:
             rc = r
-        if running[rc] is None:
+        if running[rc] is None or running[rc] == cap:
             frame[3] = len(cands[x])  # candidates ascend in rank: the rest rank >= rc
             continue
         g[x] = c
@@ -516,18 +515,6 @@ def _forest_worsts(
     return _read_worsts(space, running, kernel.scale, deltas)
 
 
-def _ball_worsts(
-    f: EndoMap, kernels: list[_Kernel], deltas: tuple[Fraction, ...],
-) -> list[list[Fraction | None]]:
-    """Per kernel, the exact worst tolerance over the whole ball at each of
-    the ascending ``deltas``.  Point and measure kernels search orbit
-    forests; set-valued kernels read all of g, so their ball is walked."""
-    walk = [kernel for kernel in kernels if kernel.roots is None]
-    walked = iter(_worst_tolerances(f, walk, deltas) if walk else ())
-    return [next(walked) if kernel.roots is None else _forest_worsts(f, kernel, deltas)
-            for kernel in kernels]
-
-
 def _tolerance_tables(
     f: EndoMap,
     targets: list[Target],
@@ -539,11 +526,10 @@ def _tolerance_tables(
     """One table per target, from the balls of f.
 
     The ball of the largest grid delta that fits the budget (counted in
-    maps, whatever the mode) is searched once per point or measure target
-    and walked once for all set-valued targets, and every smaller delta
-    reads off the same pass.  A larger delta raises BudgetExceeded, or with
-    ``sample=True`` draws a seeded uniform sample of its ball, which every
-    target walks; its verdict rests on those draws alone and is marked
+    maps, whatever the mode) is searched once per target, and every smaller
+    delta reads off the same search.  A larger delta raises BudgetExceeded,
+    or with ``sample=True`` draws a seeded uniform sample of its ball, which
+    every target walks; its verdict rests on those draws alone and is marked
     non-exhaustive.
     """
     if sample and sample_size < 1:
@@ -563,8 +549,8 @@ def _tolerance_tables(
         for table, (w,) in zip(tables, worst):
             table.append((delta, w, False))
     if fit:
-        worst = _ball_worsts(f, kernels, deltas[:fit])
-        for table, ws in zip(tables, worst):
+        for table, kernel in zip(tables, kernels):
+            ws = _forest_worsts(f, kernel, deltas[:fit])
             table.extend((d, w, True) for d, w in zip(reversed(deltas[:fit]), reversed(ws)))
     return tables
 

@@ -35,8 +35,7 @@ from mustab import (
 )
 from mustab.core import _ball_choices
 from mustab.stability import (
-    SetValuedMap, _ball_worsts, _eps_min_fn, _hmin, _kernel, _worst_tolerances,
-    target_mode,
+    SetValuedMap, _forest_worsts, _hmin, _kernel, _worst_tolerances, target_mode,
 )
 from mustab.theorems import _trials
 from mustab.errors import BudgetExceeded, MismatchedSpace, OutOfRange, UsageError
@@ -162,10 +161,12 @@ def test_eps_min_agrees_with_witness_search():
         f = sysf.maps["f"]
         space = f.space
         for target in _targets_for(sysf, rng):
-            fast = _eps_min_fn(f, target)
+            kernel = _kernel(f, target)
             slow = _naive_eps_min(space, f.table, target)
             for gtab in product(range(n), repeat=n):
-                assert fast(gtab) == slow(gtab), (seed, target, gtab)
+                want = slow(gtab)
+                assert kernel.search(gtab) == (
+                    None if want is None else want * kernel.scale), (seed, target, gtab)
 
 
 def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
@@ -177,10 +178,11 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
     ]
     for f, mu in cases:
         for target in (PointTarget(0), MeasureTarget(mu), SetValuedTarget(mu)):
-            fast = _eps_min_fn(f, target)
+            kernel = _kernel(f, target)
             slow = _naive_eps_min(f.space, f.table, target)
             for gtab in product(range(3), repeat=3):
-                assert fast(gtab) == slow(gtab)
+                want = slow(gtab)
+                assert kernel.search(gtab) == (None if want is None else want * kernel.scale)
 
     # Every (f, g) pair of self-maps of cluster_space, at every marked point
     # and at a measure whose atoms 1 and 2 both sit above the massless point
@@ -194,16 +196,18 @@ def test_eps_min_agrees_on_pinned_spaces(three_cycle, cluster_space):
     for ftab in maps:
         f = EndoMap(cluster_space, ftab)
         for target in [PointTarget(p) for p in range(3)] + [MeasureTarget(two_atoms)]:
-            fast = _eps_min_fn(f, target)
+            kernel = _kernel(f, target)
             slow = _naive_eps_min(cluster_space, ftab, target)
             for gtab in maps:
-                assert fast(gtab) == slow(gtab), (ftab, target, gtab)
+                want = slow(gtab)
+                assert kernel.search(gtab) == (
+                    None if want is None else want * kernel.scale), (ftab, target, gtab)
                 if isinstance(target, PointTarget):
                     p = target.point
                     below_root += min(orbit_closure_naive(gtab, [p])) < p
                     # a root that an earlier root forces is skipped, not chosen
                     forced = _hmin(cluster_space.dist, ftab, gtab, [p, gtab[p]], by_dist, None)
-                    assert forced == slow(gtab), (ftab, p, gtab)
+                    assert forced == want, (ftab, p, gtab)
     assert below_root == 27 * (12 + 18)  # per f: 12 maps g at p = 1, 18 at p = 2
 
 
@@ -246,12 +250,13 @@ def test_eps_min_agrees_with_bruteforce_on_coprime_denominators():
     for ftab in maps:
         f = EndoMap(space, ftab)
         for target in targets:
-            fast = _eps_min_fn(f, target)
+            kernel = _kernel(f, target)
             slow = _naive_eps_min(space, ftab, target)
             for gtab in maps:
-                got = fast(gtab)
-                assert got == slow(gtab), (ftab, target, gtab)
-                ties += target == MeasureTarget(tie) and got == Fraction(1, 3)
+                want = slow(gtab)
+                assert kernel.search(gtab) == (
+                    None if want is None else want * kernel.scale), (ftab, target, gtab)
+                ties += target == MeasureTarget(tie) and want == Fraction(1, 3)
     assert ties == 296  # (f, g) pairs whose least tolerance is the tied 1/3
 
     line = (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6))
@@ -265,10 +270,12 @@ def test_eps_min_agrees_with_bruteforce_on_coprime_denominators():
         (MeasureTarget(fifths), maps4),
         (SetValuedTarget(fifths), maps4[::32]),
     ):
-        fast = _eps_min_fn(f, target)
+        kernel = _kernel(f, target)
         slow = _naive_eps_min(space4, f.table, target)
         for gtab in gtabs:
-            assert fast(gtab) == slow(gtab), (target, gtab)
+            want = slow(gtab)
+            assert kernel.search(gtab) == (
+                None if want is None else want * kernel.scale), (target, gtab)
 
 
 def test_measure_mode_reads_masses_past_eight_points():
@@ -282,12 +289,12 @@ def test_measure_mode_reads_masses_past_eight_points():
                            [[abs(i - j) for j in range(10)] for i in range(10)])
     mu = Measure.from_weights(space, ["1/16"] * 8 + ["1/8", "3/8"])
     f = EndoMap.identity(space)
-    eps_min = _eps_min_fn(f, MeasureTarget(mu))
+    kernel = _kernel(f, MeasureTarget(mu))
     ident = tuple(range(10))
-    assert eps_min(ident) == 0
+    assert kernel.search(ident) == 0
     for x, lost in ((9, Fraction(3, 8)), (8, Fraction(1, 8)), (7, Fraction(1, 16))):
         gtab = ident[:x] + (0,) + ident[x + 1:]
-        assert eps_min(gtab) == lost, x
+        assert kernel.search(gtab) == lost * kernel.scale, x
 
 
 def test_eps_min_sampled_larger_space():
@@ -298,10 +305,11 @@ def test_eps_min_sampled_larger_space():
     mu = sysf.measures["full"]
     gtabs = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(25)]
     for target in (PointTarget(2), MeasureTarget(mu)):
-        fast = _eps_min_fn(f, target)
+        kernel = _kernel(f, target)
         slow = _naive_eps_min(f.space, f.table, target)
         for gtab in gtabs:
-            assert fast(gtab) == slow(gtab)
+            want = slow(gtab)
+            assert kernel.search(gtab) == (None if want is None else want * kernel.scale)
 
 
 def test_stability_delta_matches_naive_filter():
@@ -350,8 +358,8 @@ def _assert_ball_worsts_match_enumeration(f, points, measures, deltas):
     targets += [cls(mu) for mu in measures for cls in (MeasureTarget, SetValuedTarget)]
     kernels = [_kernel(f, target) for target in targets]
     walked = _worst_tolerances(f, kernels, deltas, product(*_ball_choices(f, deltas[-1])))
-    for target, got, want in zip(targets, _ball_worsts(f, kernels, deltas), walked):
-        assert got == want, (f.table, target)
+    for target, kernel, want in zip(targets, kernels, walked):
+        assert _forest_worsts(f, kernel, deltas) == want, (f.table, target)
     return list(zip(targets, walked))
 
 
