@@ -5,6 +5,8 @@ minimal tolerance against brute-force searches that enumerate every candidate
 witness straight from the definitions.
 """
 
+import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -14,6 +16,7 @@ from itertools import product
 
 import pytest
 
+import mustab.theorems
 from mustab import (
     EndoMap,
     GeneratorSpec,
@@ -22,6 +25,7 @@ from mustab import (
     PartialMap,
     PointTarget,
     SetValuedTarget,
+    StabilityDelta,
     THEOREM_ITEMS,
     ThresholdGrid,
     generate_system,
@@ -633,3 +637,120 @@ def test_theorem_reports_are_reproducible():
     a = theorem_check("5", trials=4, max_points=3, seed=7)
     b = theorem_check("5", trials=4, max_points=3, seed=7)
     assert a == b
+
+
+# Counterexample keys, in report order, of every branch a corrupted delta
+# reaches at trials=3, seed=5, max_points=3.
+_COUNTEREXAMPLE_KEYS = {
+    "1": ("trial", "point", "eps", "point_delta", "measure_delta", "generator", "system"),
+    "2": ("trial", "eps", "eps_transferred", "threshold", "delta_dominated",
+          "delta_dominating", "mu", "nu", "generator", "system"),
+    "4 isometric": ("trial", "kind", "perm", "eps", "delta_original", "delta_conjugated",
+                    "generator", "system"),
+    "4 bijection": ("trial", "kind", "perm", "eps", "eps_back", "delta_original",
+                    "delta_required", "delta_conjugated", "generator", "system"),
+    "5": ("trial", "blend", "eps", "eps_clamped", "delta_blend", "delta_mu", "delta_nu",
+          "mu", "nu", "generator", "system"),
+    "7": ("trial", "eps", "eps_clamped", "delta_shadowing", "delta_stability", "measure",
+          "generator", "system"),
+    "basicas expected": ("mode", "eps", "expected", "got"),
+    "basicas agreement": ("mode", "eps", "point", "measure"),
+    "basicas divergence": ("mode", "eps", "reason"),
+}
+
+_CORRUPTED_DELTAS = (None, Fraction(0), Fraction(1), Fraction(1000))
+
+# (item, k) -> per corrupted delta, None if the probe still passes when its
+# k-th _delta_star call returns that delta, else (systems, checks, branch).
+# The largest k of each item is its number of _delta_star calls.
+_FORCED = {
+    ("1", 1): ((1, 1, "1"), (1, 1, "1"), None, (1, 1, "1")),
+    ("1", 2): ((1, 1, "1"), (1, 1, "1"), None, (1, 1, "1")),
+    ("1", 3): ((1, 2, "1"), (1, 2, "1"), None, (1, 2, "1")),
+    ("1", 12): ((3, 6, "1"), (3, 6, "1"), (3, 6, "1"), (3, 6, "1")),
+    ("1", 21): ((3, 11, "1"), (3, 11, "1"), (3, 11, "1"), (3, 11, "1")),
+    ("1", 22): ((3, 11, "1"), (3, 11, "1"), (3, 11, "1"), (3, 11, "1")),
+    ("2", 1): ((1, 1, "2"), (1, 1, "2"), None, None),
+    ("2", 2): (None, None, None, (1, 1, "2")),
+    ("2", 3): ((1, 2, "2"), (1, 2, "2"), (1, 5, "2"), None),
+    ("2", 60): ((2, 47, "2"), (2, 47, "2"), (2, 47, "2"), None),
+    ("2", 118): (None, None, None, (3, 96, "2")),
+    ("2", 119): (None, None, None, (3, 97, "2")),
+    ("4", 1): ((1, 1, "4 isometric"), (1, 1, "4 isometric"), None, (1, 1, "4 isometric")),
+    ("4", 2): ((1, 1, "4 isometric"), (1, 1, "4 isometric"), None, (1, 1, "4 isometric")),
+    ("4", 3): ((1, 2, "4 isometric"), (1, 2, "4 isometric"), (1, 2, "4 isometric"),
+               (1, 2, "4 isometric")),
+    ("4", 32): ((2, 16, "4 bijection"), (2, 16, "4 bijection"), (2, 16, "4 bijection"), None),
+    ("4", 61): (None, None, None, None),
+    ("4", 62): ((3, 31, "4 bijection"), (3, 31, "4 bijection"), (3, 31, "4 bijection"), None),
+    ("5", 1): (None, None, None, None),
+    ("5", 2): (None, None, None, None),
+    ("5", 3): ((1, 1, "5"), (1, 1, "5"), None, None),
+    ("5", 164): (None, None, None, None),
+    ("5", 326): (None, None, None, None),
+    ("5", 327): ((3, 109, "5"), (3, 109, "5"), None, None),
+    ("7", 1): ((1, 1, "7"), (1, 1, "7"), None, None),
+    ("7", 2): ((1, 2, "7"), (1, 2, "7"), None, None),
+    ("7", 3): ((1, 4, "7"), (1, 4, "7"), None, None),
+    ("7", 11): ((3, 19, "7"), (3, 19, "7"), None, None),
+    ("7", 20): ((3, 36, "7"), (3, 36, "7"), None, None),
+    ("7", 21): ((3, 38, "7"), (3, 38, "7"), None, None),
+    ("basicas", 1): ((1, 1, "basicas expected"), (1, 1, "basicas expected"), None,
+                     (1, 1, "basicas expected")),
+    ("basicas", 2): ((1, 2, "basicas expected"), (1, 2, "basicas expected"), None,
+                     (1, 2, "basicas expected")),
+    ("basicas", 3): ((1, 3, "basicas expected"), (1, 3, "basicas expected"),
+                     (1, 3, "basicas expected"), (1, 3, "basicas expected")),
+    ("basicas", 10): ((1, 10, "basicas agreement"), (1, 10, "basicas agreement"), None,
+                      (1, 10, "basicas agreement")),
+    ("basicas", 18): (None, None, None, None),
+    ("basicas", 19): (None, None, (1, 14, "basicas divergence"), None),
+}
+
+# sha256 of every report below as json.dumps(asdict(report)), one per line
+_FORCED_SHA256 = "bb1765155b2f3a8ea43315ef8261b37efd087e76e9ae2d8cc27778076c1292ab"
+
+
+def test_forced_refutations_are_pinned(monkeypatch):
+    """Each probe, with its k-th _delta_star call corrupted, refutes at the
+    same check with the same counterexample as when this test was recorded.
+
+    The unforced run of each item is pinned too; at seed 5 item 4's carries a
+    note.  Refuted reports are the only path to the counterexample payloads.
+    """
+    real = mustab.theorems._delta_star
+    calls, corrupt_at, corrupted = 0, 0, None
+
+    def forced(table, eps):
+        nonlocal calls
+        calls += 1
+        return StabilityDelta(corrupted, True) if calls == corrupt_at else real(table, eps)
+
+    monkeypatch.setattr(mustab.theorems, "_delta_star", forced)
+    lines = []
+    refuted = 0
+    for item in THEOREM_ITEMS:
+        calls, corrupt_at = 0, 0
+        report = theorem_check(item, trials=3, seed=5, max_points=3)
+        assert report.passed
+        assert calls == max(k for i, k in _FORCED if i == item)
+        lines.append(json.dumps(dataclasses.asdict(report)))
+        for (i, k), pins in _FORCED.items():
+            if i != item:
+                continue
+            for corrupted, pin in zip(_CORRUPTED_DELTAS, pins):
+                calls, corrupt_at = 0, k
+                report = theorem_check(item, trials=3, seed=5, max_points=3)
+                lines.append(json.dumps(dataclasses.asdict(report)))
+                if pin is None:
+                    assert report.passed, (item, k, corrupted)
+                    continue
+                refuted += 1
+                systems, checks, branch = pin
+                assert not report.passed, (item, k, corrupted)
+                assert (report.item, report.trials) == (item, 1 if item == "basicas" else 3)
+                assert (report.systems, report.checks) == (systems, checks), (item, k, corrupted)
+                assert tuple(report.counterexample) == _COUNTEREXAMPLE_KEYS[branch]
+    assert refuted == 78
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _FORCED_SHA256
