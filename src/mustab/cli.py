@@ -13,6 +13,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -328,15 +329,7 @@ def _cmd_check_theorem(args) -> int:
         max_points=args.max_points, budget=_budget(args.budget),
     )
     if args.json:
-        print(json.dumps({
-            "item": report.item,
-            "trials": report.trials,
-            "systems": report.systems,
-            "checks": report.checks,
-            "passed": report.passed,
-            "counterexample": report.counterexample,
-            "notes": list(report.notes),
-        }, indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
         return 0 if report.passed else 1
     verdict = "holds" if report.passed else "REFUTED"
     print(f"item {report.item}: {verdict} "

@@ -1,8 +1,13 @@
 """Randomized probes of the transfer principles on generated systems.
 
-Each probe draws seeded systems, builds the stability tables it compares
-with the machinery in stability.py, and reports the first counterexample
-with everything needed to replay it.
+Each probe draws seeded systems and builds the stability tables it compares
+with the machinery in stability.py.  A probe is a generator that yields once
+per check: a false value when the check holds, or ``(trial, fields)`` when it
+fails, where ``fields`` holds the raw ``Fraction``s, ``Measure``s and Nones
+that describe the failure (``trial`` is None for the pinned ``basicas``
+system).  A probe with something to note appends it to the ``notes`` list it
+is given.  ``theorem_check`` is the one loop over the probes: it counts the
+checks and reports the first failure, with everything needed to replay it.
 """
 
 from __future__ import annotations
@@ -51,9 +56,6 @@ class TheoremReport:
     notes: tuple[str, ...] = ()
 
 
-THEOREM_ITEMS = ("1", "2", "4", "5", "7", "basicas")
-
-
 def isolated_point_system() -> tuple[FiniteMetricSpace, EndoMap, int]:
     """Three points, one far from the close pair, under the identity map.
 
@@ -73,8 +75,17 @@ def isolated_point_system() -> tuple[FiniteMetricSpace, EndoMap, int]:
     return space, EndoMap.identity(space), 0
 
 
-def _frac_str(x: Fraction | None) -> str | None:
-    return None if x is None else str(Fraction(x))
+def _json(x):
+    """Fractions as strings, measures as their weights, sequences as lists."""
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, Measure):
+        return _json(x.weights)
+    if isinstance(x, (list, tuple)):
+        return [_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _json(v) for k, v in x.items()}
+    return x
 
 
 def _random_measure(space: FiniteMetricSpace, rng: random.Random,
@@ -108,7 +119,7 @@ class _Trial(NamedTuple):
         """A failing report whose counterexample replays this trial's system."""
         return TheoremReport(
             item, trials, self.index + 1, checks, False,
-            {"trial": self.index, **fields, **_system_payload(self.sysf, self.spec)},
+            {"trial": self.index, **_json(fields), **_system_payload(self.sysf, self.spec)},
         )
 
 
@@ -127,7 +138,8 @@ def _trials(trials: int, seed: int, max_points: int, budget: int,
         yield _Trial(index, sysf, spec, f, rng)
 
 
-def _item_1(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
+def _item_1(trials: int, seed: int, max_points: int, budget: int,
+            notes: list[str]) -> Iterator[tuple | bool]:
     # marked-point stability and point-mass stability agree below tolerance 1.
     # Both tables come from the orbit-forest search rooted at p, with _hmin
     # at the leaves; they differ in the leaf and in what is pruned.  The
@@ -137,7 +149,6 @@ def _item_1(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
     # partial bound to prune by.  The probe checks that prune, that cap and
     # the grid and table layers; _hmin itself is checked only by
     # tests/bruteforce.py.
-    checks = 0
     for trial in _trials(trials, seed, max_points, budget):
         space = trial.f.space
         n = space.n
@@ -153,19 +164,13 @@ def _item_1(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
                     continue
                 a = _delta_star(tables[p], eps).delta_star
                 b = _delta_star(tables[n + p], eps).delta_star
-                checks += 1
-                if a != b:
-                    return trial.refuted(
-                        "1", trials, checks, point=space.labels[p],
-                        eps=_frac_str(eps), point_delta=_frac_str(a),
-                        measure_delta=_frac_str(b),
-                    )
-    return TheoremReport("1", trials, trials, checks, True, None)
+                yield a != b and (trial, dict(
+                    point=space.labels[p], eps=eps, point_delta=a, measure_delta=b))
 
 
-def _item_2(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
+def _item_2(trials: int, seed: int, max_points: int, budget: int,
+            notes: list[str]) -> Iterator[tuple | bool]:
     # stability under a dominating measure transfers below the mass threshold
-    checks = 0
     for trial in _trials(trials, seed, max_points, budget):
         space = trial.f.space
         nu = _random_measure(space, trial.rng, support=range(space.n))
@@ -180,18 +185,9 @@ def _item_2(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
                 if eps2 > eps or (thr is not None and eps2 >= thr):
                     continue
                 b = _delta_star(t_nu, eps2).delta_star
-                checks += 1
-                if a is None or (b is not None and a < b):
-                    return trial.refuted(
-                        "2", trials, checks, eps=_frac_str(eps),
-                        eps_transferred=_frac_str(eps2),
-                        threshold=_frac_str(thr),
-                        delta_dominated=_frac_str(a),
-                        delta_dominating=_frac_str(b),
-                        mu=[_frac_str(w) for w in mu.weights],
-                        nu=[_frac_str(w) for w in nu.weights],
-                    )
-    return TheoremReport("2", trials, trials, checks, True, None)
+                yield (a is None or (b is not None and a < b)) and (trial, dict(
+                    eps=eps, eps_transferred=eps2, threshold=thr,
+                    delta_dominated=a, delta_dominating=b, mu=mu, nu=nu))
 
 
 def _group_powers(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -230,11 +226,10 @@ def _modulus(space: FiniteMetricSpace, htab: tuple[int, ...], t: Fraction) -> Fr
     return out
 
 
-def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
+def _item_4(trials: int, seed: int, max_points: int, budget: int,
+            notes: list[str]) -> Iterator[tuple | bool]:
     # isometric conjugation: identical profiles; general bijection: profiles
     # degrade by no more than the moduli of continuity of the bijection
-    checks = 0
-    notes: list[str] = []
     skipped = 0
     for trial in _trials(trials, seed, max_points, budget, min_points=3):
         f0, rng = trial.f, trial.rng
@@ -255,19 +250,14 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
         (t_c,) = _tolerance_tables(f_conj, [MeasureTarget(mu_conj)], budget)
         grid_a = ThresholdGrid.epsilons(space_i, mu)
         grid_b = ThresholdGrid.epsilons(space_i, mu_conj)
-        if grid_a.values != grid_b.values:
-            return trial.refuted("4", trials, checks, kind="isometric",
-                                 reason="grid mismatch")
+        if grid_a.values != grid_b.values:  # counted as a check only when it fails
+            yield trial, dict(kind="isometric", reason="grid mismatch")
         for eps in grid_a:
             a = _delta_star(t_f, eps).delta_star
             b = _delta_star(t_c, eps).delta_star
-            checks += 1
-            if a != b:
-                return trial.refuted(
-                    "4", trials, checks, kind="isometric", perm=list(perm),
-                    eps=_frac_str(eps), delta_original=_frac_str(a),
-                    delta_conjugated=_frac_str(b),
-                )
+            yield a != b and (trial, dict(
+                kind="isometric", perm=perm, eps=eps, delta_original=a,
+                delta_conjugated=b))
 
         hperm = None
         for _ in range(50):
@@ -300,24 +290,17 @@ def _item_4(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
             m2 = max(t for t in dgrid0.values
                      if _modulus(space0, hinv.table, t) <= d_f)
             lhs = _delta_star(t_c0, eps).delta_star
-            checks += 1
-            if lhs is None or lhs < m2:
-                return trial.refuted(
-                    "4", trials, checks, kind="bijection", perm=list(hperm),
-                    eps=_frac_str(eps), eps_back=_frac_str(eps_back),
-                    delta_original=_frac_str(d_f),
-                    delta_required=_frac_str(m2),
-                    delta_conjugated=_frac_str(lhs),
-                )
+            yield (lhs is None or lhs < m2) and (trial, dict(
+                kind="bijection", perm=hperm, eps=eps, eps_back=eps_back,
+                delta_original=d_f, delta_required=m2, delta_conjugated=lhs))
     if skipped:
         notes.append(f"{skipped} trial(s) had no non-isometric bijection")
-    return TheoremReport("4", trials, trials, checks, True, None, tuple(notes))
 
 
-def _item_5(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
+def _item_5(trials: int, seed: int, max_points: int, budget: int,
+            notes: list[str]) -> Iterator[tuple | bool]:
     # blending measures never hurts more than the worse ingredient, once the
     # tolerance is clamped under half the separation constant
-    checks = 0
     weights = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
     for trial in _trials(trials, seed, max_points, budget):
         f = trial.f
@@ -334,27 +317,18 @@ def _item_5(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
                 rhs_a = _delta_star(t_mu, eps_c).delta_star
                 rhs_b = _delta_star(t_nu, eps_c).delta_star
                 lhs = _delta_star(t_combo, eps).delta_star
-                checks += 1
                 rhs = None
                 if rhs_a is not None and rhs_b is not None:
                     rhs = min(rhs_a, rhs_b)
-                if rhs is not None and (lhs is None or lhs < rhs):
-                    return trial.refuted(
-                        "5", trials, checks, blend=_frac_str(t),
-                        eps=_frac_str(eps), eps_clamped=_frac_str(eps_c),
-                        delta_blend=_frac_str(lhs),
-                        delta_mu=_frac_str(rhs_a), delta_nu=_frac_str(rhs_b),
-                        mu=[_frac_str(w) for w in mu.weights],
-                        nu=[_frac_str(w) for w in nu.weights],
-                    )
-    return TheoremReport("5", trials, trials, checks, True, None)
+                yield (rhs is not None and (lhs is None or lhs < rhs)) and (trial, dict(
+                    blend=t, eps=eps, eps_clamped=eps_c, delta_blend=lhs,
+                    delta_mu=rhs_a, delta_nu=rhs_b, mu=mu, nu=nu))
 
 
-def _item_7(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
+def _item_7(trials: int, seed: int, max_points: int, budget: int,
+            notes: list[str]) -> Iterator[tuple | bool]:
     # the shadowing threshold at the clamped tolerance lower-bounds the
     # stability threshold, and the constructive witness route certifies it
-    checks = 0
-    notes: list[str] = []
     cap = 128
     sampled = False
     for trial in _trials(trials, seed, max_points, budget):
@@ -367,15 +341,9 @@ def _item_7(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
             eps1 = min(e, eps) / 8
             delta_w = shadowing_delta(f, eps1, MODE_WEAK, mu)
             lhs = _delta_star(t_mu, eps).delta_star
-            checks += 1
-            if lhs is None or lhs < delta_w:
-                return trial.refuted(
-                    "7", trials, checks, eps=_frac_str(eps),
-                    eps_clamped=_frac_str(eps1),
-                    delta_shadowing=_frac_str(delta_w),
-                    delta_stability=_frac_str(lhs),
-                    measure=[_frac_str(w) for w in mu.weights],
-                )
+            yield (lhs is None or lhs < delta_w) and (trial, dict(
+                eps=eps, eps_clamped=eps1, delta_shadowing=delta_w,
+                delta_stability=lhs, measure=mu))
             if eps <= 0:
                 continue
             ball = list(enumerate_perturbations(f, delta_w, budget))
@@ -385,20 +353,16 @@ def _item_7(trials: int, seed: int, max_points: int, budget: int) -> TheoremRepo
             for g in ball:
                 cert = build_semiconjugacy(f, g, mu, eps, e)
                 result = verify_semiconjugacy(cert)
-                checks += 1
-                if not (result.passed and cert.passed
-                        and cert.mass_defect <= cert.epsilon):
-                    return trial.refuted(
-                        "7", trials, checks, eps=_frac_str(eps),
-                        perturbation=list(g.table),
-                        failed_checks=[c.name for c in result.checks if not c.passed],
-                    )
+                ok = result.passed and cert.passed and cert.mass_defect <= cert.epsilon
+                yield not ok and (trial, dict(
+                    eps=eps, perturbation=g.table,
+                    failed_checks=[c.name for c in result.checks if not c.passed]))
     if sampled:
         notes.append(f"witness balls larger than {cap} maps were sampled")
-    return TheoremReport("7", trials, trials, checks, True, None, tuple(notes))
 
 
-def _item_basicas(trials: int, seed: int, max_points: int, budget: int) -> TheoremReport:
+def _item_basicas(trials: int, seed: int, max_points: int, budget: int,
+                  notes: list[str]) -> Iterator[tuple | bool]:
     # fixed pinned-down system: the three flavours separate exactly as frozen
     space, f, p = isolated_point_system()
     mu = Measure.dirac(space, p)
@@ -416,34 +380,18 @@ def _item_basicas(trials: int, seed: int, max_points: int, budget: int) -> Theor
         ("setvalued", t_sv, one, ten),
         ("setvalued", t_sv, ten, ten),
     ]
-    checks = 0
     for mode, table, eps, want in expected:
         got = _delta_star(table, eps).delta_star
-        checks += 1
-        if got != want:
-            return TheoremReport(
-                "basicas", 1, 1, checks, False,
-                {"mode": mode, "eps": _frac_str(eps),
-                 "expected": _frac_str(want), "got": _frac_str(got)},
-            )
+        yield got != want and (None, dict(mode=mode, eps=eps, expected=want, got=got))
     # marked point and point mass agree strictly below 1, split at 1
     for eps in ThresholdGrid.epsilons(space, mu):
-        checks += 1
         a = _delta_star(t_point, eps).delta_star
         b = _delta_star(t_meas, eps).delta_star
-        if eps < 1 and a != b:
-            return TheoremReport(
-                "basicas", 1, 1, checks, False,
-                {"mode": "agreement", "eps": _frac_str(eps),
-                 "point": _frac_str(a), "measure": _frac_str(b)},
-            )
-    if _delta_star(t_point, one).delta_star == _delta_star(t_meas, one).delta_star:
-        return TheoremReport(
-            "basicas", 1, 1, checks + 1, False,
-            {"mode": "divergence", "eps": "1",
-             "reason": "modes failed to separate at tolerance 1"},
-        )
-    return TheoremReport("basicas", 1, 1, checks + 1, True, None)
+        yield eps < 1 and a != b and (None, dict(
+            mode="agreement", eps=eps, point=a, measure=b))
+    split = _delta_star(t_point, one).delta_star != _delta_star(t_meas, one).delta_star
+    yield not split and (None, dict(
+        mode="divergence", eps=one, reason="modes failed to separate at tolerance 1"))
 
 
 _ITEM_CHECKS = {
@@ -454,6 +402,8 @@ _ITEM_CHECKS = {
     "7": _item_7,
     "basicas": _item_basicas,
 }
+
+THEOREM_ITEMS = tuple(_ITEM_CHECKS)
 
 
 def theorem_check(
@@ -477,4 +427,15 @@ def theorem_check(
         raise OutOfRange("trials must be >= 1")
     if max_points < 2:
         raise OutOfRange("max_points must be >= 2")
-    return _ITEM_CHECKS[item](trials, seed, max_points, budget)
+    if item == "basicas":  # one pinned system, so one trial
+        trials = 1
+    notes: list[str] = []
+    checks = 0
+    for failure in _ITEM_CHECKS[item](trials, seed, max_points, budget, notes):
+        checks += 1
+        if failure:
+            trial, fields = failure
+            if trial is None:
+                return TheoremReport(item, trials, trials, checks, False, _json(fields))
+            return trial.refuted(item, trials, checks, **fields)
+    return TheoremReport(item, trials, trials, checks, True, None, tuple(notes))
