@@ -433,7 +433,7 @@ def _worst_tolerances(
     """
     space = f.space
     rows = [space.distance_ranks[v] for v in f.table]
-    searches = [kernel.search for kernel in kernels]
+    searches = [(kernel.search, kernel.cap) for kernel in kernels]
     by_rank: list[list[int | None]] = [
         [0] * (len(space.distance_values) + 1) for _ in kernels]
     for gtab in draws:
@@ -441,8 +441,9 @@ def _worst_tolerances(
         for row, x in zip(rows, gtab):
             if row[x] > r:
                 r = row[x]
-        for search, running in zip(searches, by_rank):
-            if running[r] is not None:  # else every rank from r up is refuted
+        for (search, cap), running in zip(searches, by_rank):
+            # as in _forest_worsts: at None or the cap no map can raise a worst
+            if running[r] is not None and running[r] != cap:
                 _raise_worst(running, r, search(gtab))
     return [_read_worsts(space, running, kernel.scale, deltas)
             for kernel, running in zip(kernels, by_rank)]

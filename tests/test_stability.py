@@ -28,9 +28,11 @@ from mustab import (
     StabilityDelta,
     THEOREM_ITEMS,
     ThresholdGrid,
+    c0_distance,
     generate_system,
     isolated_point_system,
     render_system,
+    sample_perturbations,
     setvalued_from_partial,
     stability_delta,
     stability_profile,
@@ -553,6 +555,37 @@ def test_sampled_profile_flags_rows():
     target = MeasureTarget(sysf.measures["full"])
     profile = stability_profile(f, target, budget=200, sample=True, sample_size=60)
     assert any(not row.exhaustive for row in profile.rows)
+
+
+def test_sampled_draws_skip_capped_ranks():
+    """A drawn map whose rank's running worst is already its kernel's cap
+    cannot raise a worst, so it is not searched; the worsts stay those of
+    searching every draw."""
+    sysf = generate_system(GeneratorSpec(n=6, seed=3))
+    f = sysf.maps["f"]
+    full = sysf.measures["full"]
+    kernels = [_kernel(f, SetValuedTarget(full)), _kernel(f, MeasureTarget(full))]
+    deltas = ThresholdGrid.deltas(f.space).values
+    drawn = sample_perturbations(f, deltas[-1], 500, 0)
+    calls = 0
+
+    def counted(search):
+        def call(gtab):
+            nonlocal calls
+            calls += 1
+            return search(gtab)
+        return call
+
+    got = _worst_tolerances(f, [k._replace(search=counted(k.search)) for k in kernels],
+                            deltas, [g.table for g in drawn])
+    for kernel, worsts in zip(kernels, got):
+        tols = [(c0_distance(f, g), kernel.search(g.table)) for g in drawn]
+        for delta, worst in zip(deltas, worsts):
+            inside = [t for d, t in tols if d <= delta]
+            want = None if None in inside else Fraction(max(inside, default=0), kernel.scale)
+            assert worst == want, (delta, worst, want)
+    assert got[0][-1] == 1  # the cap is reached
+    assert calls <= 2 * len(deltas) < 2 * len(drawn)  # one call per rank, not per draw
 
 
 def _rows(profile):
