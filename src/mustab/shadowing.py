@@ -26,7 +26,6 @@ these radii, computed once per (f, eps).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EndoMap, Measure, ThresholdGrid
@@ -42,35 +41,6 @@ MODE_ALL = "all"
 MODE_FULL = "full"
 MODE_WEAK = "weak"
 SHADOWING_MODES = (MODE_ALL, MODE_FULL, MODE_WEAK)
-
-
-@dataclass(frozen=True)
-class TubeState:
-    """Automaton state: last pseudo-orbit point plus the tube of images."""
-
-    last: int
-    tube: frozenset[int]
-
-
-def tube_states(f: EndoMap, eps: Fraction, prefix: list[int] | tuple[int, ...]) -> list[TubeState]:
-    """Run the tube automaton along one explicit prefix.
-
-    Returns the state after each prefix point.  Exposed so tests can compare
-    the automaton's incremental update against a direct definition-level scan.
-    """
-    space = f.space
-    n = space.n
-    dist = space.dist
-    table = f.table
-    if not prefix:
-        raise ValueError("prefix must be non-empty")
-    tube = {x for x in range(n) if dist[x][prefix[0]] <= eps}
-    out = [TubeState(prefix[0], frozenset(tube))]
-    for w in prefix[1:]:
-        tube = {table[x] for x in tube}
-        tube = {x for x in tube if dist[x][w] <= eps}
-        out.append(TubeState(w, frozenset(tube)))
-    return out
 
 
 def failure_ranks(f: EndoMap, eps: Fraction) -> tuple[int | None, ...]:

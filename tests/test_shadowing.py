@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -28,9 +29,37 @@ from mustab.errors import (
     MissingMeasure,
     OutOfRange,
 )
-from mustab.shadowing import tube_states
 
 from bruteforce import direct_tube, random_pseudo_prefix
+
+
+@dataclass(frozen=True)
+class TubeState:
+    """Automaton state: last pseudo-orbit point plus the tube of images."""
+
+    last: int
+    tube: frozenset[int]
+
+
+def tube_states(f: EndoMap, eps: Fraction, prefix: list[int] | tuple[int, ...]) -> list[TubeState]:
+    """Run the tube automaton along one explicit prefix.
+
+    Returns the state after each prefix point, for comparing the automaton's
+    incremental update against a direct definition-level scan.
+    """
+    space = f.space
+    n = space.n
+    dist = space.dist
+    table = f.table
+    if not prefix:
+        raise ValueError("prefix must be non-empty")
+    tube = {x for x in range(n) if dist[x][prefix[0]] <= eps}
+    out = [TubeState(prefix[0], frozenset(tube))]
+    for w in prefix[1:]:
+        tube = {table[x] for x in tube}
+        tube = {x for x in tube if dist[x][w] <= eps}
+        out.append(TubeState(w, frozenset(tube)))
+    return out
 
 
 def test_tube_states_need_a_prefix(two_point):
